@@ -23,7 +23,7 @@
 //! thread count only) go to `--out` (default `BENCH_PR7.json`), written
 //! atomically.
 //!
-//! Three featurization-specific passes complement the stage times:
+//! Two featurization-specific passes complement the stage times:
 //!
 //! * **featurize_breakdown** — serial per-substage minima over the same
 //!   workload: character/token features, embedding averaging, pair name
@@ -37,9 +37,6 @@
 //! * **warm_cache** — a cold `PropertyFeatureStore::build` against
 //!   loading the same store back from a persisted feature cache,
 //!   verifying the loaded store is bitwise identical.
-//! * **quantized** — scoring the full candidate space through the f32
-//!   reference against the int8 path (calibration gate included), with
-//!   the calibration and whole-run max probability error.
 //!
 //! Each mode's stage times are the per-stage minima over `--repeats`
 //! runs (default 3): the workload is deterministic, so the minimum
@@ -187,30 +184,6 @@ struct FeaturizeBreakdown {
     assembly_s: f64,
 }
 
-/// Full-candidate-space scoring through the f32 reference network
-/// against the opt-in int8 quantized path (its calibration gate and
-/// potential fallback included in the timing — it is what a `--quantized`
-/// run pays).
-#[derive(Debug, Serialize)]
-struct QuantizedBench {
-    /// Exact f32 scoring of every candidate pair, seconds.
-    score_f32_s: f64,
-    /// Quantized scoring of the same pairs, seconds.
-    score_int8_s: f64,
-    /// `score_f32_s / score_int8_s` (> 1 means int8 is faster).
-    int8_speedup: f64,
-    /// Whether the calibration gate kept the int8 path (false = the run
-    /// fell back to exact f32 scoring).
-    used_quantized: bool,
-    /// Max |f32 − int8| class-1 probability on the calibration block.
-    calibration_max_abs_error: f32,
-    /// Pairs in the calibration block.
-    calibration_pairs: usize,
-    /// Max |f32 − int8| probability difference over the whole run
-    /// (0 when the gate fell back, because the outputs are identical).
-    full_run_max_abs_error: f32,
-}
-
 /// Cold featurization vs loading the persisted feature cache.
 #[derive(Debug, Serialize)]
 struct WarmCache {
@@ -306,7 +279,6 @@ struct BenchReport {
     featurize_breakdown: FeaturizeBreakdown,
     warm_cache: WarmCache,
     checkpoint: CheckpointOverhead,
-    quantized: QuantizedBench,
     /// `None` only when the section was skipped with `--stress 0`.
     retrieval: Option<RetrievalBench>,
     vs_pr6_serial: Option<VsBaseline>,
@@ -671,63 +643,6 @@ fn measure_featurize_breakdown(
     }
 }
 
-/// Exact f32 scoring vs the opt-in int8 path over the full candidate
-/// space, as per-path minima over `repeats` runs on one trained model.
-/// The quantized timing includes the calibration gate (dual-scoring the
-/// first block) and any fallback — it is the cost a `--quantized` run
-/// observes, not an idealized kernel time.
-fn measure_quantized(
-    dataset: &Dataset,
-    embeddings: &EmbeddingStore,
-    pairs: &[PropertyPair],
-    seed: u64,
-    repeats: usize,
-) -> QuantizedBench {
-    let store = PropertyFeatureStore::build(dataset, embeddings);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let split = sampling::split_sources(dataset.sources().len(), 0.5, &mut rng).expect("split");
-    let train_pairs = sampling::training_pairs(dataset, &split.train, 2, &mut rng);
-    let model = Leapme::fit(&store, &train_pairs, &LeapmeConfig::default()).expect("fit");
-
-    let mut score_f32_s = f64::INFINITY;
-    let mut score_int8_s = f64::INFINITY;
-    let mut reference = Vec::new();
-    let mut quantized = Vec::new();
-    let mut report = None;
-    for _ in 0..repeats.max(1) {
-        let t = Instant::now();
-        reference = model.score_pairs(&store, pairs).expect("f32 scoring");
-        score_f32_s = score_f32_s.min(t.elapsed().as_secs_f64());
-
-        let t = Instant::now();
-        let (scores, r) = model
-            .score_pairs_quantized(&store, pairs)
-            .expect("quantized scoring");
-        score_int8_s = score_int8_s.min(t.elapsed().as_secs_f64());
-        quantized = scores;
-        report = Some(r);
-    }
-    let report = report.expect("repeats >= 1");
-    let full_run_max_abs_error = reference
-        .iter()
-        .zip(&quantized)
-        .map(|(r, q)| (r - q).abs())
-        .fold(0.0f32, f32::max);
-    QuantizedBench {
-        score_f32_s,
-        score_int8_s,
-        int8_speedup: if score_int8_s > 0.0 {
-            score_f32_s / score_int8_s
-        } else {
-            f64::NAN
-        },
-        used_quantized: report.used_quantized,
-        calibration_max_abs_error: report.calibration_max_abs_error,
-        calibration_pairs: report.calibration_pairs,
-        full_run_max_abs_error,
-    }
-}
-
 /// Cold build vs persisted-cache load, with a bitwise identity check of
 /// every loaded property vector.
 fn measure_warm_cache(dataset: &Dataset, embeddings: &EmbeddingStore) -> WarmCache {
@@ -1029,7 +944,6 @@ fn main() {
     drop(store);
     let warm_cache = measure_warm_cache(&dataset, &embeddings);
     let checkpoint = measure_checkpoint_overhead(&dataset, &embeddings, seed, repeats);
-    let quantized = measure_quantized(&dataset, &embeddings, &pairs, seed, repeats);
 
     let stress_properties: usize = args.get_or("stress", 100_000);
     let retrieval = if stress_properties == 0 {
@@ -1087,7 +1001,6 @@ fn main() {
         featurize_breakdown,
         warm_cache,
         checkpoint,
-        quantized,
         retrieval,
         vs_pr6_serial,
         vs_pr6_parallel,

@@ -11,12 +11,14 @@ pub struct Flags {
 
 /// Flags that stand alone: their presence means `true` and no value
 /// token follows them on the command line.
-const BOOLEAN_FLAGS: &[&str] = &["lenient", "quantized", "resume"];
+const BOOLEAN_FLAGS: &[&str] = &["lenient", "resume"];
 
 impl Flags {
     /// Parse a flag list. Every flag must start with `--` and carry
     /// exactly one value — except the boolean flags in [`BOOLEAN_FLAGS`],
-    /// which take none. Repeated flags keep the last value.
+    /// which take none. A value may not itself start with `--`: that
+    /// token is the next flag, so the flag before it is missing its
+    /// value. Repeated flags keep the last value.
     pub fn parse(argv: &[String]) -> Result<Self, CliError> {
         let mut values = BTreeMap::new();
         let mut iter = argv.iter();
@@ -30,7 +32,7 @@ impl Flags {
                 values.insert(key.to_string(), "true".to_string());
                 continue;
             }
-            let Some(value) = iter.next() else {
+            let Some(value) = iter.next().filter(|v| !v.starts_with("--")) else {
                 return Err(CliError::Usage(format!("flag --{key} is missing a value")));
             };
             values.insert(key.to_string(), value.clone());
@@ -100,6 +102,17 @@ mod tests {
     #[test]
     fn rejects_dangling_flag() {
         assert!(Flags::parse(&strings(&["--seed"])).is_err());
+    }
+
+    #[test]
+    fn flag_followed_by_flag_is_missing_its_value() {
+        // A flag must not swallow the next flag as its value.
+        let err = Flags::parse(&strings(&["--quantized", "--seed", "5"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("--quantized is missing a value"), "{err}");
+        // Single-dash values such as negative numbers are still values.
+        let f = Flags::parse(&strings(&["--offset", "-5"])).unwrap();
+        assert_eq!(f.get("offset"), Some("-5"));
     }
 
     #[test]

@@ -249,33 +249,9 @@ pub fn run(flags: &Flags) -> Result<String, CliError> {
             ));
         }
     }
-    // `--quantized` scores through the int8 inference path, but only if
-    // a calibration batch stays within the documented tolerance of the
-    // f32 reference — otherwise the run falls back transparently and
-    // says so (DESIGN.md §11).
-    let graph = if flags.is_set("quantized") {
-        let (graph, report) = model
-            .predict_graph_quantized_cancellable(&store, &candidates, Some(&check))
-            .map_err(|e| pipeline_err(e, NOTHING_SAVED))?;
-        if report.used_quantized {
-            warnings.push_str(&format!(
-                "quantized scoring: int8 path active \
-                 (calibration max |Δp| {:.5} over {} pairs)\n",
-                report.calibration_max_abs_error, report.calibration_pairs,
-            ));
-        } else {
-            warnings.push_str(&format!(
-                "quantized scoring: calibration error {:.5} exceeded tolerance, \
-                 fell back to exact f32 scoring\n",
-                report.calibration_max_abs_error,
-            ));
-        }
-        graph
-    } else {
-        model
-            .predict_graph_cancellable(&store, &candidates, Some(&check))
-            .map_err(|e| pipeline_err(e, NOTHING_SAVED))?
-    };
+    let graph = model
+        .predict_graph_cancellable(&store, &candidates, Some(&check))
+        .map_err(|e| pipeline_err(e, NOTHING_SAVED))?;
     atomic_write(
         Path::new(out),
         to_json_pretty(&graph, "similarity graph")?.as_bytes(),
@@ -497,32 +473,6 @@ mod tests {
         for p in [graph_a, graph_b, cache_path] {
             std::fs::remove_file(p).ok();
         }
-    }
-
-    #[test]
-    fn quantized_flag_reports_path_and_scores_pairs() {
-        let (ds, emb) = fixture();
-        let graph_path = tmp("match_graph_quantized.json");
-        let msg = run(&Flags::from_pairs(&[
-            ("dataset", ds.to_str().unwrap()),
-            ("embeddings", emb.to_str().unwrap()),
-            ("train-sources", "0,1,2,3,4,5"),
-            ("quantized", "true"),
-            ("out", graph_path.to_str().unwrap()),
-        ]))
-        .unwrap();
-        // Either outcome is legitimate (the calibration gate decides),
-        // but the run must say which path scored the graph.
-        assert!(msg.contains("quantized scoring:"), "{msg}");
-        assert!(
-            msg.contains("int8 path active") || msg.contains("fell back to exact f32"),
-            "{msg}"
-        );
-        assert!(msg.contains("scored pairs"), "{msg}");
-        let graph: SimilarityGraph =
-            serde_json::from_str(&std::fs::read_to_string(&graph_path).unwrap()).unwrap();
-        assert!(!graph.is_empty());
-        std::fs::remove_file(graph_path).ok();
     }
 
     #[test]

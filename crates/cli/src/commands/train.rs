@@ -130,7 +130,6 @@ mod tests {
     use super::*;
     use leapme::core::pipeline::LeapmeModel;
     use leapme::data::domains::{generate, Domain};
-    use std::sync::atomic::Ordering;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("leapme_cli_train_tests");
@@ -178,44 +177,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
-    }
-
-    #[test]
-    fn interrupted_training_checkpoints_and_exits_cancelled() {
-        let (ds, emb) = fixture();
-        let model_path = tmp("interrupted.lmp");
-        let ckpt_path = tmp("interrupted.ckpt");
-        let _ = std::fs::remove_file(&ckpt_path);
-
-        // Simulate Ctrl-C before the run starts: the very first poll
-        // fires, and the checkpoint (empty training progress) is saved.
-        crate::interrupted_flag().store(true, Ordering::SeqCst);
-        let err = run(&Flags::from_pairs(&[
-            ("dataset", ds.to_str().unwrap()),
-            ("embeddings", emb.to_str().unwrap()),
-            ("save", model_path.to_str().unwrap()),
-            ("checkpoint", ckpt_path.to_str().unwrap()),
-        ]))
-        .unwrap_err();
-        crate::interrupted_flag().store(false, Ordering::SeqCst);
-        assert!(matches!(err, CliError::Cancelled(_)), "{err}");
-        assert_eq!(err.exit_code(), 3);
-        assert!(!model_path.exists(), "no model on a cancelled run");
-
-        // Rerunning with --resume (checkpoint may or may not exist yet,
-        // depending on where the cancel landed) completes and saves.
-        let msg = run(&Flags::from_pairs(&[
-            ("dataset", ds.to_str().unwrap()),
-            ("embeddings", emb.to_str().unwrap()),
-            ("save", model_path.to_str().unwrap()),
-            ("checkpoint", ckpt_path.to_str().unwrap()),
-            ("resume", "true"),
-        ]))
-        .unwrap();
-        assert!(msg.contains("wrote"), "{msg}");
-        assert!(!ckpt_path.exists(), "checkpoint removed after completion");
-        LeapmeModel::load(&model_path).unwrap();
-        std::fs::remove_file(model_path).ok();
     }
 
     #[test]

@@ -181,3 +181,24 @@ fn helpful_errors() {
     let err = run(&args(&["generate", "--domain", "tvs"])).unwrap_err();
     assert!(err.to_string().contains("--out"));
 }
+
+#[test]
+fn retired_quantized_flag_is_a_usage_error_exiting_2() {
+    // `--quantized` names no flag: it must neither run nor swallow the
+    // flag after it as its value.
+    for argv in [
+        &["match", "--quantized"][..],
+        &["match", "--quantized", "--seed", "5"][..],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_leapme"))
+            .args(argv)
+            .output()
+            .expect("run the leapme binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(
+            stderr.contains("--quantized is missing a value"),
+            "{argv:?}: {stderr}"
+        );
+    }
+}

@@ -16,7 +16,6 @@ use leapme_nn::container2::{self, Opened, V2Container, V2Writer};
 use leapme_nn::layers::{Activation, Dense};
 use leapme_nn::matrix::Matrix;
 use leapme_nn::network::{FitControl, Mlp, TrainConfig};
-use leapme_nn::quant::{QuantWorkspace, QuantizedMlp, DEFAULT_TOLERANCE};
 use leapme_nn::workspace::ScoreWorkspace;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -60,22 +59,6 @@ pub struct LeapmeModel {
 
 /// Batch size used when scoring large candidate spaces.
 const SCORE_BATCH: usize = 4096;
-
-/// Outcome of an opt-in quantized scoring run
-/// ([`LeapmeModel::score_pairs_quantized`]): whether the int8 path was
-/// actually used and what the bounded-error oracle measured.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantizedScoreReport {
-    /// `true` when the quantized network scored the run; `false` when
-    /// the calibration error exceeded the tolerance and every pair was
-    /// scored by the f32 reference instead.
-    pub used_quantized: bool,
-    /// Largest `|f32 − int8|` class-1 probability difference on the
-    /// calibration block.
-    pub calibration_max_abs_error: f32,
-    /// Number of pairs in the calibration block.
-    pub calibration_pairs: usize,
-}
 
 /// Durability knobs for [`Leapme::fit_durable`]: where to checkpoint
 /// training, how often, whether to resume, and the cancellation check
@@ -503,27 +486,17 @@ impl LeapmeModel {
         store: &PropertyFeatureStore,
         pairs: &[PropertyPair],
     ) -> Result<Vec<f32>, CoreError> {
-        self.score_pairs_streaming(store, pairs, SCORE_BATCH)
+        self.score_pairs_cancellable(store, pairs, SCORE_BATCH, None)
     }
 
-    /// [`Self::score_pairs`] with an explicit chunk size — the knob
-    /// trading peak memory (O(chunk × dim) for the feature block plus the
+    /// The scoring loop: [`Self::score_pairs`] with an explicit chunk
+    /// size and cooperative cancellation, polled once per block
+    /// ([`CoreError::Cancelled`] when the check fires). The chunk size
+    /// trades peak memory (O(chunk × dim) for the feature block plus the
     /// network activations) against per-chunk overhead. Scores are
-    /// bitwise identical for every chunk size: each pair's row is
-    /// featurized, scaled, and scored independently of its block.
-    pub fn score_pairs_streaming(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-        chunk_size: usize,
-    ) -> Result<Vec<f32>, CoreError> {
-        self.score_pairs_cancellable(store, pairs, chunk_size, None)
-    }
-
-    /// [`Self::score_pairs_streaming`] with cooperative cancellation,
-    /// polled once per block; returns [`CoreError::Cancelled`] when the
-    /// check fires. With `cancel: None` scores are bitwise identical to
-    /// the other scoring entry points.
+    /// bitwise identical for every chunk size and with or without a
+    /// cancel check: each pair's row is featurized, scaled, and scored
+    /// independently of its block.
     pub fn score_pairs_cancellable(
         &self,
         store: &PropertyFeatureStore,
@@ -544,107 +517,6 @@ impl LeapmeModel {
             store.fill_pair_block_cancellable(block, &mask, x.data_mut(), cancel)?;
             self.scaler.transform_inplace(&mut x);
             self.net.predict_proba_into(&x, &mut ws, &mut scores);
-        }
-        Ok(scores)
-    }
-
-    /// [`Self::score_pairs`] through opt-in int8 quantized inference,
-    /// gated by a bounded-error oracle: the first feature block is
-    /// scored by both the f32 reference and the quantized network, and
-    /// if their class-1 probabilities diverge by more than
-    /// [`leapme_nn::quant::DEFAULT_TOLERANCE`] anywhere in that
-    /// calibration block the entire run silently falls back to the f32
-    /// path. The returned [`QuantizedScoreReport`] says which path ran
-    /// and the calibration error, so callers (CLI `--quantized`, bench)
-    /// can surface the decision instead of guessing.
-    pub fn score_pairs_quantized(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-    ) -> Result<(Vec<f32>, QuantizedScoreReport), CoreError> {
-        self.score_pairs_quantized_cancellable(store, pairs, None)
-    }
-
-    /// [`Self::score_pairs_quantized`] with cooperative cancellation,
-    /// polled once per scoring block.
-    pub fn score_pairs_quantized_cancellable(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-        cancel: CancelCheck<'_>,
-    ) -> Result<(Vec<f32>, QuantizedScoreReport), CoreError> {
-        self.check_store(store)?;
-        store.ensure_pair_table_for(&self.features, pairs.len());
-        if pairs.is_empty() {
-            return Ok((
-                Vec::new(),
-                QuantizedScoreReport {
-                    used_quantized: true,
-                    calibration_max_abs_error: 0.0,
-                    calibration_pairs: 0,
-                },
-            ));
-        }
-        let qnet = QuantizedMlp::from_mlp(&self.net);
-        let mask = self.features.mask(store.dim());
-        let cols = mask.len();
-
-        // Calibration: the first block runs on both paths.
-        let calib = &pairs[..pairs.len().min(SCORE_BATCH)];
-        let mut x = Matrix::zeros(0, 0);
-        x.resize_zeroed(calib.len(), cols);
-        store.fill_pair_block_cancellable(calib, &mask, x.data_mut(), cancel)?;
-        self.scaler.transform_inplace(&mut x);
-        let mut ws = ScoreWorkspace::new();
-        let mut reference = Vec::with_capacity(calib.len());
-        self.net.predict_proba_into(&x, &mut ws, &mut reference);
-        let mut qws = QuantWorkspace::new();
-        let mut scores = Vec::with_capacity(pairs.len());
-        qnet.predict_proba_into(&x, &mut qws, &mut scores);
-        let err = reference
-            .iter()
-            .zip(&scores)
-            .map(|(&r, &q)| (r - q).abs())
-            .fold(0.0f32, f32::max);
-        let report = QuantizedScoreReport {
-            used_quantized: err <= DEFAULT_TOLERANCE,
-            calibration_max_abs_error: err,
-            calibration_pairs: calib.len(),
-        };
-        if !report.used_quantized {
-            // Oracle failed: rerun everything on the reference path.
-            return Ok((
-                self.score_pairs_cancellable(store, pairs, SCORE_BATCH, cancel)?,
-                report,
-            ));
-        }
-        for block in pairs[calib.len()..].chunks(SCORE_BATCH) {
-            x.resize_zeroed(block.len(), cols);
-            store.fill_pair_block_cancellable(block, &mask, x.data_mut(), cancel)?;
-            self.scaler.transform_inplace(&mut x);
-            qnet.predict_proba_into(&x, &mut qws, &mut scores);
-        }
-        Ok((scores, report))
-    }
-
-    /// The original materialize-per-chunk scorer, kept as the equivalence
-    /// oracle the streaming-path tests check against.
-    pub fn score_pairs_materialized(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-    ) -> Result<Vec<f32>, CoreError> {
-        self.check_store(store)?;
-        let mut scores = Vec::with_capacity(pairs.len());
-        for chunk in pairs.chunks(SCORE_BATCH) {
-            let keyed: Vec<_> = chunk
-                .iter()
-                .map(|PropertyPair(a, b)| (a.clone(), b.clone()))
-                .collect();
-            let (n, cols, data) = store.pair_matrix_flat(&keyed, &self.features)?.into_parts();
-            let mut x = Matrix::from_vec(n, cols, data);
-            self.scaler.transform_inplace(&mut x);
-            scores.extend(self.net.predict_proba(&x));
         }
         Ok(scores)
     }
@@ -794,33 +666,6 @@ impl LeapmeModel {
         let scores = self.score_pairs_cancellable(store, pairs, SCORE_BATCH, cancel)?;
         Ok(pairs.iter().cloned().zip(scores).collect())
     }
-
-    /// [`Self::predict_graph`] through the opt-in quantized scorer (same
-    /// bounded-error gate and fallback as
-    /// [`Self::score_pairs_quantized`]); returns the graph plus the
-    /// quantization report.
-    pub fn predict_graph_quantized_cancellable(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-        cancel: CancelCheck<'_>,
-    ) -> Result<(SimilarityGraph, QuantizedScoreReport), CoreError> {
-        let (scores, report) = self.score_pairs_quantized_cancellable(store, pairs, cancel)?;
-        Ok((pairs.iter().cloned().zip(scores).collect(), report))
-    }
-
-    /// Binary match decisions at the model threshold, in input order.
-    pub fn predict_matches(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-    ) -> Result<Vec<bool>, CoreError> {
-        Ok(self
-            .score_pairs(store, pairs)?
-            .into_iter()
-            .map(|s| s >= self.threshold)
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -855,6 +700,31 @@ mod tests {
             ..GloVeConfig::default()
         };
         glove_train(&vocab, &cooc, &cfg, 1).unwrap()
+    }
+
+    /// The original materialize-per-chunk scorer, kept as the
+    /// equivalence oracle for the streaming scoring loop.
+    fn score_pairs_materialized(
+        model: &LeapmeModel,
+        store: &PropertyFeatureStore,
+        pairs: &[PropertyPair],
+    ) -> Vec<f32> {
+        model.check_store(store).unwrap();
+        let mut scores = Vec::with_capacity(pairs.len());
+        for chunk in pairs.chunks(SCORE_BATCH) {
+            let keyed: Vec<_> = chunk
+                .iter()
+                .map(|PropertyPair(a, b)| (a.clone(), b.clone()))
+                .collect();
+            let (n, cols, data) = store
+                .pair_matrix_flat(&keyed, &model.features)
+                .unwrap()
+                .into_parts();
+            let mut x = Matrix::from_vec(n, cols, data);
+            model.scaler.transform_inplace(&mut x);
+            scores.extend(model.net.predict_proba(&x));
+        }
+        scores
     }
 
     fn quick_train_cfg() -> TrainConfig {
@@ -916,51 +786,6 @@ mod tests {
         for (p, s) in test.iter().zip(&scores) {
             assert_eq!(graph.score(p), Some(*s));
         }
-        // predict_matches consistent with threshold.
-        let decisions = model.predict_matches(&store, &test).unwrap();
-        for (d, s) in decisions.iter().zip(&scores) {
-            assert_eq!(*d, *s >= model.threshold());
-        }
-    }
-
-    #[test]
-    fn quantized_scoring_tracks_f32_within_tolerance() {
-        let ds = generate(Domain::Tvs, 31);
-        let store = PropertyFeatureStore::build(&ds, &embeddings(Domain::Tvs));
-        let mut rng = StdRng::seed_from_u64(12);
-        let split = sampling::split_sources(ds.sources().len(), 0.8, &mut rng).unwrap();
-        let train = sampling::training_pairs(&ds, &split.train, 2, &mut rng);
-        let cfg = LeapmeConfig {
-            train: quick_train_cfg(),
-            hidden: vec![16],
-            ..LeapmeConfig::default()
-        };
-        let model = Leapme::fit(&store, &train, &cfg).unwrap();
-        let test = sampling::test_pairs(&ds, &split.train);
-        let reference = model.score_pairs(&store, &test).unwrap();
-        let (quantized, report) = model.score_pairs_quantized(&store, &test).unwrap();
-        assert_eq!(quantized.len(), reference.len());
-        assert!(report.calibration_pairs > 0);
-        if report.used_quantized {
-            // The oracle only sees the calibration block; the whole run
-            // must still stay within a loose multiple of the tolerance.
-            for (q, r) in quantized.iter().zip(&reference) {
-                assert!(
-                    (q - r).abs() <= 3.0 * DEFAULT_TOLERANCE,
-                    "quantized {q} vs f32 {r}"
-                );
-            }
-        } else {
-            // Fallback path must be the f32 scores exactly.
-            assert_eq!(quantized, reference);
-            assert!(report.calibration_max_abs_error > DEFAULT_TOLERANCE);
-        }
-        // Graph variant agrees with the score variant's decision.
-        let (graph, greport) = model
-            .predict_graph_quantized_cancellable(&store, &test, None)
-            .unwrap();
-        assert_eq!(greport.used_quantized, report.used_quantized);
-        assert_eq!(graph.len(), test.len());
     }
 
     #[test]
@@ -977,17 +802,15 @@ mod tests {
         };
         let model = Leapme::fit(&store, &train, &cfg).unwrap();
         let test = sampling::test_pairs(&ds, &split.train);
-        let reference = model.score_pairs_materialized(&store, &test).unwrap();
+        let reference = score_pairs_materialized(&model, &store, &test);
         assert_eq!(model.score_pairs(&store, &test).unwrap(), reference);
-        for chunk in [1, 3, 17, 256, usize::MAX] {
-            let streamed = model.score_pairs_streaming(&store, &test, chunk).unwrap();
+        // Chunk size 0 is clamped, not a panic.
+        for chunk in [0, 1, 3, 17, 256, usize::MAX] {
+            let streamed = model
+                .score_pairs_cancellable(&store, &test, chunk, None)
+                .unwrap();
             assert_eq!(streamed, reference, "chunk={chunk}");
         }
-        // Chunk size 0 is clamped, not a panic.
-        assert_eq!(
-            model.score_pairs_streaming(&store, &test, 0).unwrap(),
-            reference
-        );
     }
 
     #[test]

@@ -147,21 +147,34 @@ impl ImportReport {
 
 /// Write `bytes` to `path` durably: write to a temp sibling, fsync, then
 /// atomically rename over the destination (plus a best-effort directory
-/// sync), so readers never observe a torn file. Shared by every file
-/// writer in the workspace that persists results.
+/// sync), so readers never observe a torn file. The one implementation
+/// of this sequence in the workspace: every artifact writer (datasets,
+/// graphs, model and checkpoint containers, embedding tables) goes
+/// through it.
+///
+/// The temp sibling is `<name>.<pid>.<seq>.tmp`, unique per call, so
+/// concurrent writers to one destination never truncate or rename each
+/// other's temp file: the last rename wins and the destination always
+/// holds one complete payload. A failed write removes its temp file.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())
         .unwrap_or_else(|| "output".into());
-    name.push(".tmp");
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    name.push(format!(".{}.{seq}.tmp", std::process::id()));
     let tmp = path.with_file_name(name);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
-    std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         if let Ok(d) = std::fs::File::open(dir) {
             let _ = d.sync_all();
@@ -695,7 +708,69 @@ mod tests {
         atomic_write(&path, b"first").unwrap();
         atomic_write(&path, b"second").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
-        assert!(!path.with_file_name("atomic_out.txt.tmp").exists());
+        assert_eq!(tmp_siblings(&path), Vec::<String>::new());
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Names of `<file name>.….tmp` entries next to `path`.
+    fn tmp_siblings(path: &Path) -> Vec<String> {
+        let prefix = format!("{}.", path.file_name().unwrap().to_string_lossy());
+        std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&prefix) && n.ends_with(".tmp"))
+            .collect()
+    }
+
+    #[test]
+    fn atomic_write_failure_removes_its_temp_file() {
+        // Renaming a file over a directory fails after the temp file is
+        // fully written.
+        let path = tmp("atomic_onto_dir");
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(atomic_write(&path, b"payload").is_err());
+        assert_eq!(tmp_siblings(&path), Vec::<String>::new());
+        std::fs::remove_dir_all(path).ok();
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_to_one_path_all_succeed_whole() {
+        const WRITERS: usize = 8;
+        const ROUNDS: usize = 25;
+        let path = tmp("atomic_concurrent.bin");
+        // Distinct payloads of distinct lengths: any interleaving of two
+        // writers' bytes, or a truncated write, matches none of them.
+        let payloads: Vec<Vec<u8>> = (0..WRITERS)
+            .map(|w| vec![w as u8; 4096 + 512 * w])
+            .collect();
+        // Every thread starts together, so the writes overlap.
+        let start = std::sync::Barrier::new(WRITERS + 1);
+        std::thread::scope(|s| {
+            for payload in &payloads {
+                let (path, start) = (&path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        atomic_write(path, payload).expect("concurrent atomic_write");
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..WRITERS * ROUNDS {
+                    if let Ok(bytes) = std::fs::read(&path) {
+                        assert!(
+                            payloads.contains(&bytes),
+                            "torn read: {} bytes",
+                            bytes.len()
+                        );
+                    }
+                }
+            });
+        });
+        let last = std::fs::read(&path).unwrap();
+        assert!(payloads.contains(&last), "final file is not one payload");
+        assert_eq!(tmp_siblings(&path), Vec::<String>::new());
         std::fs::remove_file(path).ok();
     }
 

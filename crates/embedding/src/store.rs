@@ -9,7 +9,7 @@ use crate::tokenize::tokenize;
 use crate::EmbeddingError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -256,24 +256,21 @@ impl EmbeddingStore {
 
     /// Write in the standard GloVe text format: `word v1 v2 … vD` per line.
     pub fn save_text(&self, path: &Path) -> Result<(), EmbeddingError> {
-        // Write-to-temp + fsync + atomic rename, so an interrupted save
-        // leaves either the previous file or the new one — never a torn
-        // vector table (DESIGN.md §9).
-        let tmp = path.with_extension("txt.tmp");
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
+        use std::fmt::Write as _;
+        // Written through the workspace's atomic write (temp + fsync +
+        // rename), so an interrupted save leaves either the previous file
+        // or the new one — never a torn vector table (DESIGN.md §9).
+        let mut out = String::new();
         let mut words: Vec<&String> = self.vectors.keys().collect();
         words.sort();
         for word in words {
-            write!(w, "{word}")?;
+            out.push_str(word);
             for v in &self.vectors[word] {
-                write!(w, " {v}")?;
+                let _ = write!(out, " {v}");
             }
-            writeln!(w)?;
+            out.push('\n');
         }
-        w.flush()?;
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        std::fs::rename(&tmp, path)?;
+        leapme_data::io::atomic_write(path, out.as_bytes())?;
         Ok(())
     }
 

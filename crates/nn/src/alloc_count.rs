@@ -1,21 +1,38 @@
 //! Debug-only allocation counter (feature `alloc-count`).
 //!
 //! Installs a [`GlobalAlloc`] wrapper around the system allocator that
-//! counts every `alloc`/`alloc_zeroed`/`realloc` call process-wide. The
+//! counts every `alloc`/`alloc_zeroed`/`realloc` call per thread. The
 //! zero-allocation regression tests snapshot [`allocation_count`] around
 //! a warmed-up training step to prove the workspace hot loop stays off
 //! the heap; see `network::tests` and DESIGN.md's memory-model section.
 //!
-//! Deliberately minimal: a single relaxed atomic per allocation, no
+//! The count is per thread because `cargo test` runs tests in parallel
+//! in one process: a process-wide count would charge every concurrently
+//! running test's allocations to the region being measured. The
+//! measured regions run serially on the calling thread by design, and
+//! spawning a worker allocates on the spawning thread, so a region that
+//! fans out still shows up in the count.
+//!
+//! Deliberately minimal: one thread-local increment per allocation, no
 //! per-size histograms, no deallocation tracking — the tests only need
 //! "did anything allocate between these two points".
 
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized and without a destructor, so touching it from
+    // inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread is being torn down; those
+    // allocations belong to no measured region.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// System allocator wrapper counting allocation calls.
 ///
@@ -29,7 +46,7 @@ pub struct CountingAllocator;
 // returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -38,14 +55,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that grows may touch the heap even when it resizes in
         // place; count it as an allocation event so the tests stay strict.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -53,11 +70,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Total allocation events (alloc + alloc_zeroed + realloc) since process
-/// start. Monotonically increasing; diff two snapshots to count the
-/// allocations a code region performed.
+/// Allocation events (alloc + alloc_zeroed + realloc) on the calling
+/// thread since it started. Monotonically increasing; diff two snapshots
+/// to count the allocations a code region performed.
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[cfg(test)]

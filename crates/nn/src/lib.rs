@@ -42,13 +42,12 @@
 //! ```
 
 #![deny(missing_docs)]
-// `deny` rather than `forbid`: exactly three scoped `allow(unsafe_code)`
+// `deny` rather than `forbid`: exactly two scoped `allow(unsafe_code)`
 // overrides exist — the debug-only `alloc-count` counting
 // `#[global_allocator]` (whose `GlobalAlloc` impl is necessarily
-// unsafe), the explicit SSE2 integer lane in `quant::sse2`, and the
-// `container2::buffer` module (mmap FFI + aligned `&[u8]`→`&[f32]`
-// reinterpretation behind the zero-copy v2 container), each justified
-// inline per unsafe block.
+// unsafe) and the `container2::buffer` module (mmap FFI + aligned
+// `&[u8]`→`&[f32]` reinterpretation behind the zero-copy v2
+// container), each justified inline per unsafe block.
 #![deny(unsafe_code)]
 
 #[cfg(feature = "alloc-count")]
@@ -61,7 +60,6 @@ pub mod loss;
 pub mod matrix;
 pub mod network;
 pub mod optim;
-pub mod quant;
 pub mod schedule;
 pub mod threads;
 pub mod workspace;

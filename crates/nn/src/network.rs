@@ -6,8 +6,8 @@
 //! a staged [`crate::schedule::LrSchedule`].
 
 use crate::init::Init;
-use crate::layers::{Activation, Dense, DenseCache};
-use crate::loss::{accuracy, softmax_cross_entropy, softmax_cross_entropy_into, softmax_rows};
+use crate::layers::{Activation, Dense};
+use crate::loss::{accuracy, softmax_cross_entropy_into, softmax_rows};
 use crate::matrix::Matrix;
 use crate::optim::{Optimizer, ParamState};
 use crate::schedule::LrSchedule;
@@ -107,8 +107,8 @@ impl Default for TrainConfig {
 
 /// Durability and cancellation controls for [`Mlp::fit_durable`].
 ///
-/// The default control (no checkpoint path, no cancellation) makes
-/// `fit_durable` behave exactly — bitwise — like [`Mlp::fit`].
+/// [`Mlp::fit`] runs with the default control: no checkpoint path, no
+/// cancellation.
 #[derive(Default)]
 pub struct FitControl<'a> {
     /// Where to persist mid-schedule training state; `None` disables
@@ -315,7 +315,9 @@ impl Mlp {
             .collect()
     }
 
-    /// Train with minibatch gradient descent per the config's schedule.
+    /// Train with minibatch gradient descent per the config's schedule:
+    /// [`Self::fit_durable`] with a default [`FitControl`] (no
+    /// checkpoints, no cancellation).
     ///
     /// Returns per-epoch telemetry. Errors if `x` is empty, label counts
     /// mismatch, a label is out of range, or the input width is wrong.
@@ -324,179 +326,29 @@ impl Mlp {
     /// `max_loss_retries` times across the fit; exhausting the budget
     /// yields [`NnError::NonFiniteLoss`] instead of propagating NaN
     /// weights.
-    ///
-    /// This is the workspace-backed fast path: all per-batch buffers live
-    /// in a [`TrainWorkspace`] created once per call, so the steady-state
-    /// training step performs zero heap allocations. Results are bitwise
-    /// identical to the allocating [`Self::fit_reference`]. To amortize
-    /// the warm-up allocations across repeated fits, create the workspace
-    /// yourself and call [`Self::fit_with_workspace`].
     pub fn fit(
         &mut self,
         x: &Matrix,
         labels: &[usize],
         cfg: &TrainConfig,
     ) -> Result<TrainReport, NnError> {
-        let mut ws = TrainWorkspace::new();
-        self.fit_with_workspace(x, labels, cfg, &mut ws)
+        self.fit_durable(x, labels, cfg, &FitControl::default())
     }
 
-    /// [`Self::fit`] with a caller-provided workspace, reusing its
-    /// buffers across calls.
-    pub fn fit_with_workspace(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        cfg: &TrainConfig,
-        ws: &mut TrainWorkspace,
-    ) -> Result<TrainReport, NnError> {
-        self.check_fit_inputs(x, labels)?;
-        if self.states.len() != self.layers.len() {
-            self.states = self.layers.iter().map(|_| LayerState::default()).collect();
-        }
-        ws.ensure_layers(self.layers.len());
-        ws.checkpoint_valid = false;
-
-        let batch = cfg.batch_size.max(1);
-        let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed);
-        let mut report = TrainReport::default();
-
-        // Optional validation split for early stopping. The rng is
-        // consumed in exactly the reference order (full shuffle, then
-        // per-epoch shuffles, then dropout masks) so every downstream
-        // draw matches bitwise.
-        let mut all: Vec<usize> = (0..x.rows()).collect();
-        all.shuffle(&mut rng);
-        let val_fraction = cfg.validation_fraction.clamp(0.0, 0.5);
-        let n_val = if val_fraction > 0.0 {
-            ((x.rows() as f32 * val_fraction) as usize).min(x.rows().saturating_sub(1))
-        } else {
-            0
-        };
-        let (val_idx, train_idx) = all.split_at(n_val);
-        let has_val = !val_idx.is_empty();
-        if has_val {
-            x.select_rows_into(val_idx, &mut ws.val_x);
-        }
-        let val_y: Vec<usize> = val_idx.iter().map(|&i| labels[i]).collect();
-        let mut order: Vec<usize> = train_idx.to_vec();
-
-        let mut best_val = f32::INFINITY;
-        let mut since_best = 0usize;
-
-        // Non-finite-loss recovery: before each epoch, checkpoint the
-        // weights, optimizer moments, rng, and batch order (pre-shuffle,
-        // so a rolled-back epoch replays the exact same shuffle and
-        // dropout draws at the stepped-down rate). When every loss stays
-        // finite the checkpoints are never read and `lr_scale` stays
-        // exactly 1.0, keeping this path bitwise identical to
-        // [`Self::fit_reference`].
-        let stages: Vec<(usize, f32)> = cfg.schedule.iter().collect();
-        let mut lr_scale: f32 = 1.0;
-        let mut retries_left = cfg.max_loss_retries;
-        let mut good_layers: Vec<Dense> = Vec::new();
-        let mut good_states: Vec<LayerState> = Vec::new();
-        let mut good_order: Vec<usize> = Vec::new();
-
-        let mut stage = 0usize;
-        while stage < stages.len() {
-            let (epoch, base_lr) = stages[stage];
-            workspace::copy_layers_into(&mut good_layers, &self.layers);
-            good_states.clone_from(&self.states);
-            good_order.clone_from(&order);
-            let good_rng = rng.clone();
-
-            order.shuffle(&mut rng);
-            let lr = base_lr * lr_scale;
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            for chunk in order.chunks(batch) {
-                x.select_rows_into(chunk, &mut ws.batch_x);
-                ws.batch_y.clear();
-                ws.batch_y.extend(chunk.iter().map(|&i| labels[i]));
-                #[allow(unused_mut)]
-                let mut loss = self.train_step_ws(lr, cfg, &mut rng, ws);
-                #[cfg(feature = "faults")]
-                if leapme_faults::fires(leapme_faults::sites::NN_LOSS)
-                    == Some(leapme_faults::FaultKind::Nan)
-                {
-                    loss = f32::NAN;
-                }
-                epoch_loss += loss;
-                batches += 1;
-                if !epoch_loss.is_finite() {
-                    // The weights are already poisoned; finishing the
-                    // epoch would only deepen the damage.
-                    break;
-                }
-            }
-            // The loss clamps probabilities at 1e-12 before the log
-            // (and `f32::max(NaN, x)` is `x`), so a poisoned network can
-            // still report a finite loss — also scan the parameters.
-            if !epoch_loss.is_finite() || !self.params_finite() {
-                if retries_left == 0 {
-                    return Err(NnError::NonFiniteLoss {
-                        epoch,
-                        retries: cfg.max_loss_retries,
-                    });
-                }
-                retries_left -= 1;
-                report.recoveries += 1;
-                workspace::copy_layers_into(&mut self.layers, &good_layers);
-                self.states.clone_from(&good_states);
-                order.clone_from(&good_order);
-                rng = good_rng;
-                lr_scale *= cfg.lr_backoff.clamp(0.0, 1.0);
-                continue;
-            }
-            report.epoch_losses.push(epoch_loss / batches.max(1) as f32);
-
-            if has_val {
-                let val_loss = {
-                    let TrainWorkspace {
-                        val_x,
-                        val_grad,
-                        score,
-                        ..
-                    } = &mut *ws;
-                    let logits = self.logits_into(val_x, score);
-                    softmax_cross_entropy_into(logits, &val_y, val_grad)
-                };
-                report.validation_losses.push(val_loss);
-                if val_loss < best_val {
-                    best_val = val_loss;
-                    workspace::copy_layers_into(&mut ws.checkpoint, &self.layers);
-                    ws.checkpoint_valid = true;
-                    since_best = 0;
-                } else {
-                    since_best += 1;
-                    if since_best >= cfg.patience.max(1) {
-                        report.stopped_early = true;
-                        break;
-                    }
-                }
-            }
-            stage += 1;
-        }
-        if ws.checkpoint_valid {
-            workspace::copy_layers_into(&mut self.layers, &ws.checkpoint);
-        }
-        report.final_accuracy = {
-            let logits = self.logits_into(x, &mut ws.score);
-            accuracy(logits, labels)
-        };
-        Ok(report)
-    }
-
-    /// Train like [`Self::fit`], with durability: periodic resumable
-    /// checkpoints, resume-from-checkpoint, and cooperative cancellation
-    /// at every epoch boundary.
+    /// The training loop: [`Self::fit`] plus durability — periodic
+    /// resumable checkpoints, resume-from-checkpoint, and cooperative
+    /// cancellation at every epoch boundary.
     ///
-    /// With a default [`FitControl`] this is bitwise identical to
-    /// [`Self::fit`]. When `ctl.checkpoint_path` is set, the complete
-    /// training state — weights, optimizer moments, RNG state, epoch
-    /// order, LR-stage position, and telemetry so far — is persisted
-    /// atomically every `checkpoint_every` epochs (and on cancellation),
+    /// All per-batch buffers live in a `TrainWorkspace` created once
+    /// per call, so the steady-state training step performs zero heap
+    /// allocations. Results are bitwise identical to the allocating
+    /// reference trainer the test suite keeps as an oracle, with or
+    /// without checkpointing.
+    ///
+    /// When `ctl.checkpoint_path` is set, the complete training state —
+    /// weights, optimizer moments, RNG state, epoch order, LR-stage
+    /// position, and telemetry so far — is persisted atomically every
+    /// `checkpoint_every` epochs (and on cancellation),
     /// so a killed run resumed with `ctl.resume` finishes with a model
     /// bitwise identical to an uninterrupted run. The checkpoint file is
     /// deleted once training completes.
@@ -527,10 +379,11 @@ impl Mlp {
         let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed);
         let mut report = TrainReport::default();
 
-        // Deterministic prefix: identical to `fit_with_workspace`, and
-        // re-derived on resume too (the initial full shuffle and the
-        // validation split depend only on `cfg.shuffle_seed`), after
-        // which the saved RNG/order state overwrite the fresh ones.
+        // Deterministic prefix, re-derived on resume too: the rng is
+        // consumed in exactly the reference order (full shuffle, then
+        // per-epoch shuffles, then dropout masks), and the initial
+        // shuffle and validation split depend only on `cfg.shuffle_seed`;
+        // on resume the saved RNG/order state overwrite the fresh ones.
         let mut all: Vec<usize> = (0..x.rows()).collect();
         all.shuffle(&mut rng);
         let val_fraction = cfg.validation_fraction.clamp(0.0, 0.5);
@@ -550,6 +403,12 @@ impl Mlp {
         let mut best_val = f32::INFINITY;
         let mut since_best = 0usize;
 
+        // Non-finite-loss recovery: before each epoch, checkpoint the
+        // weights, optimizer moments, rng, and batch order (pre-shuffle,
+        // so a rolled-back epoch replays the exact same shuffle and
+        // dropout draws at the stepped-down rate). When every loss stays
+        // finite the checkpoints are never read and `lr_scale` stays
+        // exactly 1.0.
         let stages: Vec<(usize, f32)> = cfg.schedule.iter().collect();
         let mut lr_scale: f32 = 1.0;
         let mut retries_left = cfg.max_loss_retries;
@@ -668,9 +527,14 @@ impl Mlp {
                 epoch_loss += loss;
                 batches += 1;
                 if !epoch_loss.is_finite() {
+                    // The weights are already poisoned; finishing the
+                    // epoch would only deepen the damage.
                     break;
                 }
             }
+            // The loss clamps probabilities at 1e-12 before the log
+            // (and `f32::max(NaN, x)` is `x`), so a poisoned network can
+            // still report a finite loss — also scan the parameters.
             if !epoch_loss.is_finite() || !self.params_finite() {
                 if retries_left == 0 {
                     return Err(NnError::NonFiniteLoss {
@@ -858,11 +722,14 @@ impl Mlp {
         }
         Ok(())
     }
+}
 
+#[cfg(test)]
+impl Mlp {
     /// The original allocating trainer, kept verbatim as the equivalence
-    /// oracle for [`Self::fit`] — the proptest suite asserts both paths
-    /// produce bitwise-identical weights, reports, and predictions.
-    pub fn fit_reference(
+    /// oracle for [`Self::fit_durable`] — the proptest suite asserts both
+    /// paths produce bitwise-identical weights, reports, and predictions.
+    pub(crate) fn fit_reference(
         &mut self,
         x: &Matrix,
         labels: &[usize],
@@ -945,7 +812,7 @@ impl Mlp {
         let keep = 1.0 - cfg.dropout.clamp(0.0, 0.95);
 
         // Forward with caches; inverted dropout on hidden activations.
-        let mut caches: Vec<DenseCache> = Vec::with_capacity(n_layers);
+        let mut caches: Vec<crate::layers::DenseCache> = Vec::with_capacity(n_layers);
         let mut masks: Vec<Option<Matrix>> = vec![None; n_layers];
         let mut h = bx.clone();
         for (idx, layer) in self.layers.iter().enumerate() {
@@ -961,7 +828,7 @@ impl Mlp {
             }
             h = out;
         }
-        let (loss, mut grad) = softmax_cross_entropy(&h, by);
+        let (loss, mut grad) = crate::loss::softmax_cross_entropy(&h, by);
 
         // Backward and update layer by layer (output → input). `grad`
         // arriving at layer `idx` is ∂L/∂(dropped output); undo the mask
@@ -1434,29 +1301,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_across_fits_is_clean() {
-        // A stale checkpoint or buffer from a previous fit must not leak
-        // into the next one, even across different configs.
-        let (x, y) = xor_data();
-        let cfg_es = TrainConfig {
-            validation_fraction: 0.25,
-            patience: 1,
-            schedule: LrSchedule::new(vec![(30, 0.01)]),
-            ..TrainConfig::default()
-        };
-        let mut ws = TrainWorkspace::new();
-        let mut warm = Mlp::new(&[2, 8, 2], 14);
-        warm.fit_with_workspace(&x, &y, &cfg_es, &mut ws).unwrap();
-        // Now run a no-validation fit through the same workspace.
-        let mut a = Mlp::new(&[2, 8, 2], 15);
-        let mut b = a.clone();
-        let cfg = TrainConfig::default();
-        a.fit_with_workspace(&x, &y, &cfg, &mut ws).unwrap();
-        b.fit_reference(&x, &y, &cfg).unwrap();
-        assert_eq!(a.predict_proba(&x), b.predict_proba(&x));
-    }
-
-    #[test]
     fn workspace_fit_matches_reference_across_thread_counts() {
         // Shapes chosen so the first-layer matmul crosses PAR_MIN_FLOPS
         // (64 × 96 × 192 ≈ 1.2 M multiply–adds) and the kernels actually
@@ -1507,13 +1351,46 @@ mod tests {
     mod equivalence_proptests {
         use super::*;
         use proptest::prelude::*;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// A checkpoint path no other test case uses.
+        fn fresh_ckpt() -> std::path::PathBuf {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join("leapme_nn_equivalence_tests");
+            std::fs::create_dir_all(&dir).unwrap();
+            dir.join(format!(
+                "{}_{}.ckpt",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ))
+        }
+
+        fn same_run(
+            a: &Mlp,
+            ra: &TrainReport,
+            b: &Mlp,
+            rb: &TrainReport,
+            x: &Matrix,
+        ) -> Result<(), TestCaseError> {
+            prop_assert_eq!(&ra.epoch_losses, &rb.epoch_losses);
+            prop_assert_eq!(&ra.validation_losses, &rb.validation_losses);
+            prop_assert_eq!(ra.stopped_early, rb.stopped_early);
+            prop_assert_eq!(ra.final_accuracy, rb.final_accuracy);
+            prop_assert_eq!(a.predict_proba(x), b.predict_proba(x));
+            for (la, lb) in a.layers().iter().zip(b.layers()) {
+                prop_assert_eq!(&la.weights, &lb.weights);
+                prop_assert_eq!(&la.bias, &lb.bias);
+            }
+            Ok(())
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
 
-            /// The workspace trainer is bitwise-identical to the
-            /// allocating reference over random shapes, batch sizes,
-            /// dropout rates, and early-stopping splits.
+            /// The training loop is bitwise-identical to the allocating
+            /// reference over random shapes, batch sizes, dropout rates,
+            /// and early-stopping splits — plain, checkpointing after
+            /// every epoch, and cancelled midway then resumed.
             #[test]
             fn fit_matches_reference(
                 rows in 4usize..24,
@@ -1522,6 +1399,7 @@ mod tests {
                 batch_size in 1usize..12,
                 dropout_on in 0usize..2,
                 validation_on in 0usize..2,
+                cancel_after in 1usize..5,
                 seed in 0u64..1_000,
             ) {
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -1529,7 +1407,7 @@ mod tests {
                 let y: Vec<usize> = (0..rows).map(|i| (i + seed as usize) % 2).collect();
                 let cfg = TrainConfig {
                     batch_size,
-                    schedule: LrSchedule::new(vec![(3, 1e-3)]),
+                    schedule: LrSchedule::new(vec![(3, 1e-3), (2, 1e-4)]),
                     shuffle_seed: seed ^ 0xABCD,
                     dropout: if dropout_on == 1 { 0.25 } else { 0.0 },
                     weight_decay: 0.01,
@@ -1537,19 +1415,54 @@ mod tests {
                     patience: 1,
                     ..TrainConfig::default()
                 };
-                let mut a = Mlp::new(&[cols, hidden, 2], seed.wrapping_add(1));
-                let mut b = a.clone();
-                let ra = a.fit(&x, &y, &cfg).unwrap();
-                let rb = b.fit_reference(&x, &y, &cfg).unwrap();
-                prop_assert_eq!(ra.epoch_losses, rb.epoch_losses);
-                prop_assert_eq!(ra.validation_losses, rb.validation_losses);
-                prop_assert_eq!(ra.stopped_early, rb.stopped_early);
-                prop_assert_eq!(ra.final_accuracy, rb.final_accuracy);
-                prop_assert_eq!(a.predict_proba(&x), b.predict_proba(&x));
-                for (la, lb) in a.layers().iter().zip(b.layers()) {
-                    prop_assert_eq!(&la.weights, &lb.weights);
-                    prop_assert_eq!(&la.bias, &lb.bias);
+                let fresh = Mlp::new(&[cols, hidden, 2], seed.wrapping_add(1));
+                let mut reference = fresh.clone();
+                let rr = reference.fit_reference(&x, &y, &cfg).unwrap();
+
+                let mut plain = fresh.clone();
+                let rp = plain.fit(&x, &y, &cfg).unwrap();
+                same_run(&plain, &rp, &reference, &rr, &x)?;
+
+                let path = fresh_ckpt();
+                let mut every = fresh.clone();
+                let re = every
+                    .fit_durable(&x, &y, &cfg, &FitControl {
+                        checkpoint_path: Some(&path),
+                        checkpoint_every: 1,
+                        ..FitControl::default()
+                    })
+                    .unwrap();
+                same_run(&every, &re, &reference, &rr, &x)?;
+                prop_assert!(!path.exists());
+
+                // Cancel at the `cancel_after`-th epoch boundary, then
+                // resume into a fresh network. Early stopping may finish
+                // the run before the cancel fires; that run must match
+                // the reference as it stands.
+                let polls = AtomicUsize::new(0);
+                let cancel = move || polls.fetch_add(1, Ordering::SeqCst) >= cancel_after;
+                let mut first = fresh.clone();
+                let outcome = first.fit_durable(&x, &y, &cfg, &FitControl {
+                    checkpoint_path: Some(&path),
+                    cancel: Some(&cancel),
+                    ..FitControl::default()
+                });
+                match outcome {
+                    Ok(r1) => same_run(&first, &r1, &reference, &rr, &x)?,
+                    Err(err) => {
+                        prop_assert_eq!(err, NnError::Cancelled);
+                        let mut resumed = fresh.clone();
+                        let rs = resumed
+                            .fit_durable(&x, &y, &cfg, &FitControl {
+                                checkpoint_path: Some(&path),
+                                resume: true,
+                                ..FitControl::default()
+                            })
+                            .unwrap();
+                        same_run(&resumed, &rs, &reference, &rr, &x)?;
+                    }
                 }
+                prop_assert!(!path.exists());
             }
 
             /// Workspace scoring equals the allocating path for random
@@ -1592,29 +1505,6 @@ mod tests {
             for (la, lb) in a.layers().iter().zip(b.layers()) {
                 assert_eq!(la.weights, lb.weights);
                 assert_eq!(la.bias, lb.bias);
-            }
-        }
-
-        #[test]
-        fn durable_fit_matches_fit_bitwise() {
-            let (x, y) = xor_data();
-            for cfg in [
-                TrainConfig::default(),
-                TrainConfig {
-                    dropout: 0.3,
-                    validation_fraction: 0.25,
-                    patience: 2,
-                    ..TrainConfig::default()
-                },
-            ] {
-                let mut a = Mlp::new(&[2, 8, 4, 2], 31);
-                let mut b = a.clone();
-                let ra = a.fit(&x, &y, &cfg).unwrap();
-                let rb = b.fit_durable(&x, &y, &cfg, &FitControl::default()).unwrap();
-                assert_eq!(ra.epoch_losses, rb.epoch_losses);
-                assert_eq!(ra.validation_losses, rb.validation_losses);
-                assert_eq!(ra.final_accuracy, rb.final_accuracy);
-                assert_same_net(&a, &b);
             }
         }
 

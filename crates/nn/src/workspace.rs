@@ -3,7 +3,7 @@
 //! The LEAPME hot loop runs the same small network over millions of
 //! minibatches and pair blocks; re-allocating every activation, cache,
 //! gradient, and dropout-mask matrix per step dominated the allocator
-//! profile. A [`TrainWorkspace`] (for `Mlp::fit`) or [`ScoreWorkspace`]
+//! profile. A `TrainWorkspace` (for `Mlp::fit`) or [`ScoreWorkspace`]
 //! (for inference) owns every buffer the step needs; buffers are sized
 //! lazily on first use and reused afterwards, so a steady-state
 //! `train_step` / `predict_proba_into` performs **zero heap
@@ -23,18 +23,16 @@
 use crate::layers::{Dense, DenseGrads};
 use crate::matrix::Matrix;
 
-/// Preallocated buffers for one training loop (`Mlp::fit`).
+/// Preallocated buffers for one training loop (`Mlp::fit_durable`,
+/// which creates one per call).
 ///
-/// Create once and pass to `Mlp::fit_with_workspace` — or let `Mlp::fit`
-/// create one internally — and reuse across calls to amortize the very
-/// first allocation too. The workspace holds, per layer: the
-/// post-activation output, the post-dropout output, the output gradient,
-/// the inverted-dropout mask, and the parameter gradients; plus the
-/// gathered minibatch (`batch_x`/`batch_y`), the validation split, the
-/// fused-loss gradient buffer, and the persistent early-stopping
-/// checkpoint.
+/// The workspace holds, per layer: the post-activation output, the
+/// post-dropout output, the output gradient, the inverted-dropout mask,
+/// and the parameter gradients; plus the gathered minibatch
+/// (`batch_x`/`batch_y`), the validation split, the fused-loss gradient
+/// buffer, and the persistent early-stopping checkpoint.
 #[derive(Debug, Default)]
-pub struct TrainWorkspace {
+pub(crate) struct TrainWorkspace {
     /// Gathered minibatch rows (`Matrix::select_rows_into` target).
     pub(crate) batch_x: Matrix,
     /// Gathered minibatch labels.
@@ -63,7 +61,7 @@ pub struct TrainWorkspace {
 
 impl TrainWorkspace {
     /// An empty workspace; every buffer is sized lazily on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

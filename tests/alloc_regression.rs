@@ -4,7 +4,7 @@
 //! Run with `cargo test -p leapme --features alloc-count`. The feature
 //! installs leapme-nn's counting `#[global_allocator]`, and each test
 //! warms its buffers (thread-local token buffer, feature scratch, string
-//! cache), snapshots the process-wide allocation counter, repeats the
+//! cache), snapshots the calling thread's allocation counter, repeats the
 //! hot operation, and asserts the counter did not move. Companion to the
 //! training-step suite in `leapme-nn` (`network::tests`); DESIGN.md §10
 //! documents which paths these counters pin down.
