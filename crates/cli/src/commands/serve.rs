@@ -109,7 +109,8 @@ pub fn run(flags: &Flags) -> Result<String, CliError> {
     let _ = std::io::stdout().flush();
 
     // Blocks until SIGINT/SIGTERM flips the interrupted flag, the
-    // accept loop notices, closes the queue, and the workers drain.
+    // server's signal thread wakes the blocked accept, the accept loop
+    // closes the queue, and the workers drain.
     let report = handle.join();
     let summary = to_json(&report, "drain report")?;
     if report.clean {

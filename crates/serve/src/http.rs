@@ -323,9 +323,12 @@ impl Response {
             head.push_str("x-leapme-degraded: true\r\n");
         }
         head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())?;
-        stream.flush()
+        // One write for head and body: split writes let Nagle hold the
+        // body until the peer's delayed ACK of the head (~40 ms) on a
+        // kept-alive socket.
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(self.body.as_bytes());
+        stream.write_all(&wire)
     }
 }
 

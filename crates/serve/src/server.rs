@@ -1,12 +1,16 @@
 //! The accept loop, panic-isolated worker pool, and graceful drain.
 //!
-//! One accept thread owns the (nonblocking) listener: it polls the
-//! shutdown flag between accepts, sheds with a `503 + Retry-After`
-//! when the bounded queue is full, and on shutdown flips the draining
-//! flag, closes the queue, and drops the listener. A fixed pool of
-//! worker threads pops connections, parses with socket timeouts, runs
-//! the handler under `catch_unwind`, and keeps serving after any panic
-//! — a poisoned request never takes a worker (or the process) down.
+//! One accept thread owns the listener and blocks in `accept()`: it
+//! re-checks the shutdown flag after every accept, sheds with a
+//! `503 + Retry-After` when the bounded queue is full, and on shutdown
+//! flips the draining flag, closes the queue, and drops the listener.
+//! Shutdown wakes the blocked `accept()` with one throwaway loopback
+//! connection; an external flag (the CLI's SIGINT/SIGTERM) is watched
+//! by a small `serve-signal` thread that sends the same wake, off the
+//! request path. A fixed pool of worker threads blocks on the queue,
+//! parses with socket timeouts, runs the handler under `catch_unwind`,
+//! and keeps serving after any panic — a poisoned request never takes a
+//! worker (or the process) down.
 
 use crate::handlers::{self, request_deadline};
 use crate::http::{drain_then_close, error_response, read_request, HttpError, Response};
@@ -15,15 +19,23 @@ use crate::state::ServeState;
 use leapme_core::cancel::CancelToken;
 use serde::Serialize;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often idle threads poll the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// Pause after a transient accept failure (EMFILE, ECONNABORTED, …),
+/// so a persistent error cannot spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// How often the `serve-signal` thread checks an external shutdown
+/// flag. Only the drain's start waits on it, never a request.
+const SIGNAL_POLL: Duration = Duration::from_millis(20);
+
+/// Budget for the throwaway connection that wakes a blocked `accept()`.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Lingering-close budget for responses sent before the request was
 /// fully read: drain at most this many client bytes…
@@ -81,9 +93,10 @@ struct ShutdownEvent {
 /// A running server. Dropping the handle does *not* stop the server;
 /// call [`ServerHandle::shutdown`] then [`ServerHandle::join`].
 pub struct ServerHandle {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
+    signal_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     state: Arc<ServeState>,
     queue: Arc<Bounded<Job>>,
@@ -91,19 +104,23 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// The bound address (useful with `:0` port requests).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Begin the drain: stop accepting, let in-flight work finish.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        wake_accept(self.addr);
     }
 
     /// Block until the accept thread and every worker have exited,
     /// then report what the drain left behind. Call after
     /// [`ServerHandle::shutdown`] (or an external flag) fired.
     pub fn join(mut self) -> DrainReport {
+        if let Some(h) = self.signal_thread.take() {
+            let _ = h.join();
+        }
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
@@ -137,14 +154,14 @@ impl ServerHandle {
 
 /// Bind, spawn the accept thread and worker pool, and return a handle.
 ///
-/// `external_shutdown` (e.g. the CLI's SIGINT/SIGTERM flag) is polled
-/// alongside the handle's own flag; either one starts the drain.
+/// `external_shutdown` (e.g. the CLI's SIGINT/SIGTERM flag) starts the
+/// drain like [`ServerHandle::shutdown`]: a `serve-signal` thread
+/// watches it and wakes the blocked accept when it fires.
 pub fn start(
     state: Arc<ServeState>,
     external_shutdown: Option<&'static AtomicBool>,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&state.config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     state.journal_event(&LifecycleEvent {
@@ -166,6 +183,29 @@ pub fn start(
             .spawn(move || accept_loop(listener, state, queue, shutdown, external_shutdown))?
     };
 
+    // A signal handler cannot wake `accept()` itself (glibc's `signal()`
+    // installs with SA_RESTART), so this thread turns the external flag
+    // into the same wake `shutdown()` sends. It exits on either flag.
+    let signal_thread = match external_shutdown {
+        Some(external) => {
+            let shutdown = Arc::clone(&shutdown);
+            Some(
+                std::thread::Builder::new()
+                    .name("serve-signal".into())
+                    .spawn(move || {
+                        while !shutdown.load(Ordering::SeqCst) {
+                            if external.load(Ordering::SeqCst) {
+                                wake_accept(addr);
+                                break;
+                            }
+                            std::thread::sleep(SIGNAL_POLL);
+                        }
+                    })?,
+            )
+        }
+        None => None,
+    };
+
     let mut workers = Vec::with_capacity(state.config.workers);
     for i in 0..state.config.workers {
         let state = Arc::clone(&state);
@@ -181,10 +221,28 @@ pub fn start(
         addr,
         shutdown,
         accept_thread: Some(accept_thread),
+        signal_thread,
         workers,
         state,
         queue,
     })
+}
+
+/// Unblock an accept thread waiting on the listener at `addr` with one
+/// throwaway connection; the loop re-checks its flags after every
+/// accept. An unspecified bind address (`0.0.0.0`, `[::]`) is reached
+/// through the loopback of the same family. A failed connect is
+/// harmless: either the listener is already gone, or connections still
+/// queued behind it wake the loop just the same.
+fn wake_accept(addr: SocketAddr) {
+    let mut target = addr;
+    if addr.ip().is_unspecified() {
+        target.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, WAKE_TIMEOUT);
 }
 
 /// Fault hook for `serve.accept`: a fired `io` fault drops the freshly
@@ -199,8 +257,9 @@ fn injected_accept_fault() -> bool {
     false
 }
 
-/// Accept until a shutdown flag fires, then flip draining, close the
-/// queue, and let the listener drop (new connections get RST/refused).
+/// Accept (blocking) until a shutdown flag fires and a wake connection
+/// arrives, then flip draining, close the queue, and let the listener
+/// drop (new connections get RST/refused).
 fn accept_loop(
     listener: TcpListener,
     state: Arc<ServeState>,
@@ -241,14 +300,11 @@ fn accept_loop(
                     drain_then_close(&mut stream, LINGER_MAX_BYTES, LINGER_TIMEOUT);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
             Err(_) => {
                 // Transient accept failure (EMFILE, ECONNABORTED, …):
                 // back off briefly rather than spinning.
                 state.metrics.accept_faults.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(POLL_INTERVAL);
+                std::thread::sleep(ACCEPT_BACKOFF);
             }
         }
     }
@@ -259,12 +315,8 @@ fn accept_loop(
 
 /// Pop-and-serve until the queue reports closed-and-drained.
 fn worker_loop(state: Arc<ServeState>, queue: Arc<Bounded<Job>>) {
-    loop {
-        match queue.pop_timeout(POLL_INTERVAL) {
-            Pop::Item(job) => serve_connection(&state, job.stream),
-            Pop::Empty => continue,
-            Pop::Closed => break,
-        }
+    while let Pop::Item(job) = queue.pop() {
+        serve_connection(&state, job.stream);
     }
 }
 

@@ -489,6 +489,25 @@ sed 's/^/    /' "$DRILL_DIR/stress.out" | grep "blocking(ann)"
 
 echo "==> serve drill: concurrent requests, injected torn request, SIGTERM drain"
 SERVE_PID=""
+# SIGTERM the daemon at $SERVE_PID and wait at most 10 s for it to exit
+# (a drain whose blocked accept is never woken would otherwise hang this
+# script forever); leaves the exit status in SERVE_RC.
+#   stop_serve <drill label> <daemon output file>
+stop_serve() {
+    kill -TERM "$SERVE_PID"
+    for _ in $(seq 1 100); do
+        kill -0 "$SERVE_PID" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$SERVE_PID" 2>/dev/null; then
+        echo "$1: daemon still running 10 s after SIGTERM" >&2
+        cat "$2" >&2
+        exit 1
+    fi
+    SERVE_RC=0
+    wait "$SERVE_PID" || SERVE_RC=$?
+    SERVE_PID=""
+}
 # NB: guard the kill — an empty pid would expand to `kill 0` (the whole
 # process group, this script included).
 trap 'if [ -n "${SERVE_PID:-}" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi; rm -rf "$DRILL_DIR"' EXIT
@@ -574,10 +593,7 @@ print(f"    {len(match_bodies)} identical /match responses"
       f" ({len(match_bodies[0])} bytes), torn request absorbed")
 EOF
 
-kill -TERM "$SERVE_PID"
-SERVE_RC=0
-wait "$SERVE_PID" || SERVE_RC=$?
-SERVE_PID=""
+stop_serve "serve drill" "$DRILL_DIR/serve.out"
 if [ "$SERVE_RC" -ne 0 ]; then
     echo "serve drill: daemon exited $SERVE_RC after SIGTERM (want 0)" >&2
     cat "$DRILL_DIR/serve.out" >&2
@@ -874,10 +890,7 @@ if ! grep -q '"event":"reload"' "$DRILL_DIR/regserve.journal"; then
     echo "registry hot-swap drill: journal has no reload record" >&2
     exit 1
 fi
-kill -TERM "$SERVE_PID"
-SERVE_RC=0
-wait "$SERVE_PID" || SERVE_RC=$?
-SERVE_PID=""
+stop_serve "registry hot-swap drill" "$DRILL_DIR/regserve.out"
 if [ "$SERVE_RC" -ne 0 ]; then
     echo "registry hot-swap drill: daemon exited $SERVE_RC after SIGTERM (want 0)" >&2
     cat "$DRILL_DIR/regserve.out" >&2

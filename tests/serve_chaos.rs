@@ -24,8 +24,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // fixture
@@ -83,18 +84,23 @@ fn load_parts() -> (EmbeddingStore, PropertyFeatureStore) {
     (embeddings, store)
 }
 
-/// Start a server on an OS-assigned port with the shared fixture.
-fn start_server(config: ServeConfig) -> (serve::ServerHandle, Arc<ServeState>) {
+/// Server state over the shared fixture.
+fn fixture_state(config: ServeConfig) -> Arc<ServeState> {
     let (dataset, model, _) = fixture();
     let (embeddings, store) = load_parts();
-    let state = Arc::new(ServeState::new(
+    Arc::new(ServeState::new(
         model.clone(),
         embeddings,
         dataset.clone(),
         store,
         None,
         config,
-    ));
+    ))
+}
+
+/// Start a server on an OS-assigned port with the shared fixture.
+fn start_server(config: ServeConfig) -> (serve::ServerHandle, Arc<ServeState>) {
+    let state = fixture_state(config);
     let handle = serve::start(Arc::clone(&state), None).unwrap();
     (handle, state)
 }
@@ -548,6 +554,62 @@ fn drain_completes_in_flight_requests_and_journals_the_shutdown() {
 }
 
 // ---------------------------------------------------------------------
+// accept wake: a blocked accept() must always be woken on shutdown
+// ---------------------------------------------------------------------
+
+/// Run `stop` and then `join` on a helper thread, failing the test if
+/// the drain is not over within two seconds: a missed wake leaves the
+/// accept thread blocked and `join` hung forever.
+fn drain_within_two_seconds(
+    handle: serve::ServerHandle,
+    stop: impl FnOnce(&serve::ServerHandle) + Send + 'static,
+) -> serve::DrainReport {
+    let (tx, rx) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        stop(&handle);
+        let _ = tx.send(handle.join());
+    });
+    let report = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown did not wake the blocked accept within 2 s");
+    stopper.join().unwrap();
+    report
+}
+
+#[test]
+fn shutdown_wakes_an_idle_accept() {
+    let _g = serial();
+    let (handle, _state) = start_server(quick_config());
+    let report = drain_within_two_seconds(handle, |h| h.shutdown());
+    assert!(report.clean, "{report:?}");
+}
+
+#[test]
+fn shutdown_wakes_an_accept_on_the_unspecified_address() {
+    let _g = serial();
+    let (handle, _state) = start_server(ServeConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..quick_config()
+    });
+    assert!(handle.addr().ip().is_unspecified(), "bound to {}", handle.addr());
+    let report = drain_within_two_seconds(handle, |h| h.shutdown());
+    assert!(report.clean, "{report:?}");
+}
+
+#[test]
+fn external_flag_wakes_the_accept_without_shutdown() {
+    static FLAG: AtomicBool = AtomicBool::new(false);
+    let _g = serial();
+    let handle = serve::start(fixture_state(quick_config()), Some(&FLAG)).unwrap();
+    assert_eq!(status_of(&request(handle.addr(), "GET", "/healthz", "")), 200);
+    // Only the flag is raised, as the CLI's signal handler does; the
+    // handle's own `shutdown()` is never called.
+    let report = drain_within_two_seconds(handle, |_| FLAG.store(true, Ordering::SeqCst));
+    assert!(report.clean, "{report:?}");
+    assert_eq!(report.completed, 1);
+}
+
+// ---------------------------------------------------------------------
 // source integration against the resident graph
 // ---------------------------------------------------------------------
 
@@ -672,6 +734,54 @@ fn keep_alive_is_granted_explicitly_and_bounded_by_the_budget() {
     assert!(handle.join().clean);
 }
 
+/// A client that leaves `TCP_NODELAY` off (the default) gets every
+/// kept-alive response without waiting on its own delayed ACK: the
+/// server sends head and body in one write, so Nagle never holds the
+/// body. Split writes cost about 40 ms per request on Linux.
+#[test]
+fn kept_alive_responses_are_not_held_back_by_nagle() {
+    let _g = serial();
+    let (dataset, model, _) = fixture();
+    let (_, store) = load_parts();
+    let (handle, _state) = start_server(quick_config());
+
+    let (pairs, body) = score_body(dataset, 16);
+    let expected_json = format!(
+        "\"scores\":{}",
+        serde_json::to_string(&model.score_pairs(&store, &pairs).unwrap()).unwrap()
+    );
+    let raw = format!(
+        "POST /score HTTP/1.1\r\nhost: test\r\nconnection: keep-alive\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    assert!(!stream.nodelay().unwrap(), "the client must keep Nagle on");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let started = Instant::now();
+    let responses: Vec<String> = (0..10).map(|_| exchange(&mut stream, raw.as_bytes())).collect();
+    let elapsed = started.elapsed();
+
+    for response in &responses {
+        assert_eq!(status_of(response), 200, "{response}");
+        assert!(
+            response.to_ascii_lowercase().contains("connection: keep-alive"),
+            "every response stays on the one socket: {response}"
+        );
+        assert!(
+            body_of(response).contains(&expected_json),
+            "served scores diverge from batch scores"
+        );
+    }
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "10 kept-alive requests took {elapsed:?}; responses are stalling on delayed ACKs"
+    );
+
+    handle.shutdown();
+    assert!(handle.join().clean);
+}
+
 // ---------------------------------------------------------------------
 // generation-pinned snapshots around integrate-source
 // ---------------------------------------------------------------------
@@ -722,7 +832,6 @@ fn integrate_persists_a_generation_pinned_snapshot() {
 mod faults {
     use super::*;
     use leapme::faults::{fired_count, sites, with_plan};
-    use std::sync::atomic::Ordering;
 
     /// The full serve fault matrix: each site fires once at probability
     /// 1; the server must absorb the fault, record it, and keep serving.
