@@ -486,22 +486,26 @@ impl LeapmeModel {
         store: &PropertyFeatureStore,
         pairs: &[PropertyPair],
     ) -> Result<Vec<f32>, CoreError> {
-        self.score_pairs_cancellable(store, pairs, SCORE_BATCH, None)
+        self.score_pairs_cancellable(store, pairs, SCORE_BATCH, None, None)
     }
 
     /// The scoring loop: [`Self::score_pairs`] with an explicit chunk
-    /// size and cooperative cancellation, polled once per block
-    /// ([`CoreError::Cancelled`] when the check fires). The chunk size
-    /// trades peak memory (O(chunk × dim) for the feature block plus the
-    /// network activations) against per-chunk overhead. Scores are
-    /// bitwise identical for every chunk size and with or without a
-    /// cancel check: each pair's row is featurized, scaled, and scored
-    /// independently of its block.
+    /// size, thread count and cooperative cancellation, polled once per
+    /// block ([`CoreError::Cancelled`] when the check fires). The chunk
+    /// size trades peak memory (O(chunk × dim) for the feature block plus
+    /// the network activations) against per-chunk overhead. `threads:
+    /// None` lets the feature fill and the layer products fan out by
+    /// their size gates; `Some(1)` keeps the whole loop on the calling
+    /// thread, as a server worker scoring one request wants. Scores are
+    /// bitwise identical for every chunk size and thread count and with
+    /// or without a cancel check: each pair's row is featurized, scaled,
+    /// and scored independently of its block.
     pub fn score_pairs_cancellable(
         &self,
         store: &PropertyFeatureStore,
         pairs: &[PropertyPair],
         chunk_size: usize,
+        threads: Option<usize>,
         cancel: CancelCheck<'_>,
     ) -> Result<Vec<f32>, CoreError> {
         self.check_store(store)?;
@@ -511,10 +515,10 @@ impl LeapmeModel {
         let cols = mask.len();
         let mut scores = Vec::with_capacity(pairs.len());
         let mut x = Matrix::zeros(0, 0);
-        let mut ws = ScoreWorkspace::new();
+        let mut ws = ScoreWorkspace::with_threads(threads);
         for block in pairs.chunks(chunk) {
             x.resize_zeroed(block.len(), cols);
-            store.fill_pair_block_cancellable(block, &mask, x.data_mut(), cancel)?;
+            store.fill_pair_block_cancellable(block, &mask, x.data_mut(), threads, cancel)?;
             self.scaler.transform_inplace(&mut x);
             self.net.predict_proba_into(&x, &mut ws, &mut scores);
         }
@@ -571,7 +575,7 @@ impl LeapmeModel {
             threads
         };
         if threads <= 1 || pairs.len() < 2 * SCORE_BATCH {
-            return self.score_pairs_cancellable(store, pairs, SCORE_BATCH, cancel);
+            return self.score_pairs_cancellable(store, pairs, SCORE_BATCH, None, cancel);
         }
         // Build the shared distance table once on the calling thread at
         // the full pair volume — per-chunk calls inside the workers
@@ -582,7 +586,7 @@ impl LeapmeModel {
         let score_chunk = |chunk: &[PropertyPair]| {
             #[cfg(feature = "faults")]
             leapme_faults::maybe_panic(leapme_faults::sites::SCORE_WORKER);
-            self.score_pairs_cancellable(store, chunk, SCORE_BATCH, cancel)
+            self.score_pairs_cancellable(store, chunk, SCORE_BATCH, None, cancel)
         };
         let mut results: Vec<Option<Result<Vec<f32>, CoreError>>> = Vec::new();
         let mut failed: Vec<usize> = Vec::new();
@@ -663,7 +667,7 @@ impl LeapmeModel {
         pairs: &[PropertyPair],
         cancel: CancelCheck<'_>,
     ) -> Result<SimilarityGraph, CoreError> {
-        let scores = self.score_pairs_cancellable(store, pairs, SCORE_BATCH, cancel)?;
+        let scores = self.score_pairs_cancellable(store, pairs, SCORE_BATCH, None, cancel)?;
         Ok(pairs.iter().cloned().zip(scores).collect())
     }
 }
@@ -806,10 +810,12 @@ mod tests {
         assert_eq!(model.score_pairs(&store, &test).unwrap(), reference);
         // Chunk size 0 is clamped, not a panic.
         for chunk in [0, 1, 3, 17, 256, usize::MAX] {
-            let streamed = model
-                .score_pairs_cancellable(&store, &test, chunk, None)
-                .unwrap();
-            assert_eq!(streamed, reference, "chunk={chunk}");
+            for threads in [None, Some(1), Some(3)] {
+                let streamed = model
+                    .score_pairs_cancellable(&store, &test, chunk, threads, None)
+                    .unwrap();
+                assert_eq!(streamed, reference, "chunk={chunk} threads={threads:?}");
+            }
         }
     }
 

@@ -1164,18 +1164,31 @@ impl PropertyFeatureStore {
 
     /// [`Self::fill_pair_block`] with a cancellation poll at entry —
     /// streaming callers hand fixed-size blocks in, so per-block entry
-    /// polling already bounds the cancellation latency.
+    /// polling already bounds the cancellation latency. `threads: None`
+    /// partitions like [`Self::fill_pair_block`]; `Some(n)` uses at most
+    /// `n` threads (`Some(1)` fills on the calling thread).
     pub fn fill_pair_block_cancellable<P: PairKeys>(
         &self,
         pairs: &[P],
         mask: &[usize],
         out: &mut [f32],
+        threads: Option<usize>,
         cancel: CancelCheck<'_>,
     ) -> Result<(), FeatureError> {
         if is_cancelled(cancel) {
             return Err(FeatureError::Cancelled);
         }
-        self.fill_pair_block(pairs, mask, out)
+        match threads {
+            None => self.fill_pair_block(pairs, mask, out),
+            Some(n) => {
+                assert_eq!(
+                    out.len(),
+                    pairs.len() * mask.len(),
+                    "output buffer size mismatch"
+                );
+                self.fill_pair_rows_threaded(pairs, mask, out, n)
+            }
+        }
     }
 
     /// Partition `pairs` into contiguous row ranges of `out` and fill
@@ -2055,11 +2068,11 @@ mod tests {
             let mut out = vec![0.0f32; mask.len()];
             let cancel = || true;
             let err = store
-                .fill_pair_block_cancellable(&pairs, &mask, &mut out, Some(&cancel))
+                .fill_pair_block_cancellable(&pairs, &mask, &mut out, None, Some(&cancel))
                 .unwrap_err();
             assert!(matches!(err, FeatureError::Cancelled));
             store
-                .fill_pair_block_cancellable(&pairs, &mask, &mut out, None)
+                .fill_pair_block_cancellable(&pairs, &mask, &mut out, Some(1), None)
                 .unwrap();
             assert!(out.iter().any(|v| *v != 0.0));
         }

@@ -139,13 +139,18 @@ impl Dense {
     /// callers keep the input and output buffers alive themselves and
     /// hand them back to [`Self::backward_into`].
     ///
-    /// `out` must not alias `input`.
+    /// `out` must not alias `input`. `threads` picks the product's
+    /// worker threads: `None` for the size-gated default of
+    /// [`Matrix::matmul_into`], `Some(n)` for exactly `n`.
     ///
     /// # Panics
     ///
     /// Panics if `input.cols() != self.in_dim()`.
-    pub fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
-        input.matmul_into(&self.weights, out);
+    pub fn forward_into(&self, input: &Matrix, out: &mut Matrix, threads: Option<usize>) {
+        match threads {
+            None => input.matmul_into(&self.weights, out),
+            Some(n) => input.matmul_into_with_threads(&self.weights, out, n),
+        }
         out.add_row_bias(&self.bias);
         self.activation.forward_inplace(out);
     }

@@ -259,7 +259,7 @@ impl Mlp {
         for (idx, layer) in self.layers.iter().enumerate() {
             let (before, rest) = ws.act.split_at_mut(idx);
             let input = if idx == 0 { x } else { &before[idx - 1] };
-            layer.forward_into(input, &mut rest[0]);
+            layer.forward_into(input, &mut rest[0], ws.threads);
         }
         ws.act.last().expect("network has layers")
     }
@@ -634,7 +634,7 @@ impl Mlp {
             } else {
                 &before[idx - 1]
             };
-            layer.forward_into(input, out);
+            layer.forward_into(input, out, None);
             if dropout_at(idx) {
                 let mask = &mut masks[idx];
                 mask.resize_zeroed(out.rows(), out.cols());
@@ -908,16 +908,17 @@ mod tests {
             let net = Mlp::new(&[12, 10, 6, 2], 9);
             let mut x = Matrix::zeros(0, 0);
             fill(&mut x, 16, 12);
-            let mut ws = ScoreWorkspace::new();
-            let mut out = Vec::new();
-            net.predict_proba_into(&x, &mut ws, &mut out);
+            for mut ws in [ScoreWorkspace::new(), ScoreWorkspace::with_threads(Some(1))] {
+                let mut out = Vec::new();
+                net.predict_proba_into(&x, &mut ws, &mut out);
 
-            out.clear();
-            let before = allocation_count();
-            net.predict_proba_into(&x, &mut ws, &mut out);
-            let allocated = allocation_count() - before;
-            assert_eq!(out.len(), 16);
-            assert_eq!(allocated, 0, "steady-state scoring hit the heap");
+                out.clear();
+                let before = allocation_count();
+                net.predict_proba_into(&x, &mut ws, &mut out);
+                let allocated = allocation_count() - before;
+                assert_eq!(out.len(), 16);
+                assert_eq!(allocated, 0, "steady-state scoring hit the heap (threads {:?})", ws.threads);
+            }
         }
     }
 

@@ -86,12 +86,25 @@ impl TrainWorkspace {
 pub struct ScoreWorkspace {
     /// Per-layer post-activation outputs.
     pub(crate) act: Vec<Matrix>,
+    /// Worker threads each layer product runs on: `None` follows the
+    /// size-gated default of [`Matrix::matmul_into`], `Some(n)` uses
+    /// exactly `n` (`Some(1)` never leaves the calling thread).
+    pub(crate) threads: Option<usize>,
 }
 
 impl ScoreWorkspace {
     /// An empty workspace; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty workspace whose forward passes run every product on
+    /// `threads` threads (`None`: the size-gated default, as [`Self::new`]).
+    pub fn with_threads(threads: Option<usize>) -> Self {
+        ScoreWorkspace {
+            act: Vec::new(),
+            threads,
+        }
     }
 
     /// Resize the per-layer buffer vector to `n` layers.

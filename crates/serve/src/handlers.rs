@@ -29,6 +29,11 @@ use std::time::Duration;
 /// promptly, large enough to amortize the streaming-score setup.
 const SCORE_CHUNK: usize = 2048;
 
+/// Threads one `POST /score` runs on: the worker's own. The pool
+/// already serves requests in parallel, so fanning one request out
+/// would spawn threads per request and oversubscribe the cores.
+const SCORE_THREADS: Option<usize> = Some(1);
+
 /// Fault hook for `serve.handler` (`kind: panic`): proves the worker
 /// pool's panic isolation under the chaos suite.
 #[cfg(feature = "faults")]
@@ -317,7 +322,7 @@ fn score_against(
     }
 
     let check = token.checker();
-    let (scores, degraded) = match score_chunked(model, store, &pairs, &check) {
+    let (scores, degraded) = match score_chunked(model, store, &pairs, SCORE_THREADS, &check) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
@@ -337,10 +342,12 @@ fn score_against(
 
 /// Chunked scoring shared by `score` and `match`: returns the scores
 /// accumulated so far plus whether the deadline cut the run short.
+/// `threads` is passed to [`LeapmeModel::score_pairs_cancellable`].
 fn score_chunked(
     model: &LeapmeModel,
     store: &PropertyFeatureStore,
     pairs: &[PropertyPair],
+    threads: Option<usize>,
     check: &(impl Fn() -> bool + Sync),
 ) -> Result<(Vec<f32>, bool), Response> {
     let mut scores = Vec::with_capacity(pairs.len());
@@ -350,7 +357,7 @@ fn score_chunked(
             degraded = true;
             break;
         }
-        match model.score_pairs_cancellable(store, chunk, SCORE_CHUNK, Some(check)) {
+        match model.score_pairs_cancellable(store, chunk, SCORE_CHUNK, threads, Some(check)) {
             Ok(s) => scores.extend(s),
             Err(CoreError::Cancelled) => {
                 degraded = true;
@@ -483,7 +490,9 @@ fn match_lead(
 ) -> Response {
     let candidates = sampling::test_pairs(dataset, &[]);
     let check = token.checker();
-    let (scores, degraded) = match score_chunked(model, store, &candidates, &check) {
+    // One coalesced scan of every pair, like `match --model`: it keeps
+    // the size-gated fan-out.
+    let (scores, degraded) = match score_chunked(model, store, &candidates, None, &check) {
         Ok(v) => v,
         Err(resp) => {
             state.singleflight.abandon(flight_key);
