@@ -120,29 +120,47 @@ fn bench_nn(c: &mut Criterion) {
 }
 
 fn bench_matmul(c: &mut Criterion) {
-    // The two shapes that dominate training and scoring: one minibatch
-    // (32×637 · 637×128) and one scoring block (256×637 · 637×128).
+    // The three products of one training step at the bench shape
+    // (137 → 128 → 64 → 2, batch 32), each as `Mlp::fit` runs it: the
+    // first layer's forward product, its weight gradient (xᵀ)·g, and
+    // the second layer's input gradient g·(Wᵀ). The backward products
+    // include the transpose into a reused buffer. Plus one scoring
+    // block through the first layer, serial and threaded.
     let mut rng = StdRng::seed_from_u64(11);
     let mut rand_matrix = |r: usize, k: usize| {
         Matrix::from_vec(r, k, (0..r * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
     };
-    let a32 = rand_matrix(32, 637);
-    let a256 = rand_matrix(256, 637);
-    let w = rand_matrix(637, 128);
+    let x = rand_matrix(32, 137);
+    let w1 = rand_matrix(137, 128);
+    let g1 = rand_matrix(32, 128);
+    let w2 = rand_matrix(128, 64);
+    let g2 = rand_matrix(32, 64);
+    let block = rand_matrix(256, 137);
     let threads = leapme::nn::threads::thread_count();
+    let mut out = Matrix::default();
+    let mut transposed = Matrix::default();
 
     let mut g = c.benchmark_group("matmul");
-    g.bench_function("serial_32x637x128", |b| {
-        b.iter(|| black_box(&a32).matmul_with_threads(black_box(&w), 1))
+    g.bench_function("train_forward_32x137x128", |b| {
+        b.iter(|| black_box(&x).matmul_into_with_threads(black_box(&w1), &mut out, 1))
     });
-    g.bench_function("threaded_32x637x128", |b| {
-        b.iter(|| black_box(&a32).matmul_with_threads(black_box(&w), threads))
+    g.bench_function("train_weight_grad_137x32x128", |b| {
+        b.iter(|| {
+            black_box(&x).transpose_into(&mut transposed);
+            transposed.matmul_into_with_threads(black_box(&g1), &mut out, 1)
+        })
     });
-    g.bench_function("serial_256x637x128", |b| {
-        b.iter(|| black_box(&a256).matmul_with_threads(black_box(&w), 1))
+    g.bench_function("train_input_grad_32x64x128", |b| {
+        b.iter(|| {
+            black_box(&w2).transpose_into(&mut transposed);
+            black_box(&g2).matmul_into_with_threads(&transposed, &mut out, 1)
+        })
     });
-    g.bench_function("threaded_256x637x128", |b| {
-        b.iter(|| black_box(&a256).matmul_with_threads(black_box(&w), threads))
+    g.bench_function("serial_256x137x128", |b| {
+        b.iter(|| black_box(&block).matmul_with_threads(black_box(&w1), 1))
+    });
+    g.bench_function("threaded_256x137x128", |b| {
+        b.iter(|| black_box(&block).matmul_with_threads(black_box(&w1), threads))
     });
     g.finish();
 }

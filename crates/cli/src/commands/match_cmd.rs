@@ -288,11 +288,13 @@ mod tests {
         dir.join(name)
     }
 
-    /// Build the shared fixture: a dataset file and an embedding file.
-    fn fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let ds_path = tmp("match_ds.json");
+    /// Build one test's fixture: a dataset file and an embedding file,
+    /// named after `test` so that tests running in parallel never read
+    /// a file another test is rewriting.
+    fn fixture(test: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let ds_path = tmp(&format!("match_ds_{test}.json"));
         std::fs::write(&ds_path, generate(Domain::Tvs, 2).to_json()).unwrap();
-        let emb_path = tmp("match_emb.txt");
+        let emb_path = tmp(&format!("match_emb_{test}.txt"));
         // Quick low-dim embeddings to keep the test fast.
         crate::commands::embed::run(&Flags::from_pairs(&[
             ("domains", "tvs"),
@@ -306,7 +308,7 @@ mod tests {
 
     #[test]
     fn match_produces_similarity_graph() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("match_produces_similarity_graph");
         let graph_path = tmp("match_graph.json");
         let model_path = tmp("match_model.json");
         let msg = run(&Flags::from_pairs(&[
@@ -329,7 +331,7 @@ mod tests {
 
     #[test]
     fn explicit_train_sources() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("explicit_train_sources");
         let graph_path = tmp("match_graph2.json");
         let msg = run(&Flags::from_pairs(&[
             ("dataset", ds.to_str().unwrap()),
@@ -344,7 +346,7 @@ mod tests {
 
     #[test]
     fn degraded_embeddings_warn_but_still_match() {
-        let (ds, _emb) = fixture();
+        let (ds, _emb) = fixture("degraded_embeddings_warn_but_still_match");
         // An embedding vocabulary that resolves nothing: every property
         // falls back to the non-embedding features, and the run reports it.
         let emb_path = tmp("match_emb_useless.txt");
@@ -366,7 +368,7 @@ mod tests {
 
     #[test]
     fn pretrained_model_scores_all_cross_source_pairs() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("pretrained_model_scores_all_cross_source_pairs");
         let model_path = tmp("match_pretrained.lmp");
         crate::commands::train::run(&Flags::from_pairs(&[
             ("dataset", ds.to_str().unwrap()),
@@ -395,7 +397,7 @@ mod tests {
 
     #[test]
     fn corrupt_model_file_is_reported_not_scored() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("corrupt_model_file_is_reported_not_scored");
         let model_path = tmp("match_corrupt.lmp");
         std::fs::write(&model_path, b"LEAPMECPgarbage").unwrap();
         let err = run(&Flags::from_pairs(&[
@@ -412,7 +414,7 @@ mod tests {
 
     #[test]
     fn timeout_zero_exits_cancelled_without_output() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("timeout_zero_exits_cancelled_without_output");
         let graph_path = tmp("match_never.json");
         let _ = std::fs::remove_file(&graph_path);
         let err = run(&Flags::from_pairs(&[
@@ -429,7 +431,7 @@ mod tests {
 
     #[test]
     fn feature_cache_round_trip_is_byte_identical_and_heals() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("feature_cache_round_trip_is_byte_identical_and_heals");
         let cache_path = tmp("match_feature_cache.lfc");
         let _ = std::fs::remove_file(&cache_path);
         let graph_a = tmp("match_graph_cache_a.json");
@@ -477,7 +479,7 @@ mod tests {
 
     #[test]
     fn blocking_prunes_candidates_and_reports_stats() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("blocking_prunes_candidates_and_reports_stats");
         let graph_path = tmp("match_graph_blocking.json");
         let msg = run(&Flags::from_pairs(&[
             ("dataset", ds.to_str().unwrap()),
@@ -496,7 +498,7 @@ mod tests {
 
     #[test]
     fn ann_blocking_retrieves_and_scores() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("ann_blocking_retrieves_and_scores");
         let graph_path = tmp("match_graph_ann.json");
         let msg = run(&Flags::from_pairs(&[
             ("dataset", ds.to_str().unwrap()),
@@ -567,7 +569,7 @@ mod tests {
 
     #[test]
     fn unknown_blocking_mode_is_usage_error() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("unknown_blocking_mode_is_usage_error");
         let err = run(&Flags::from_pairs(&[
             ("dataset", ds.to_str().unwrap()),
             ("embeddings", emb.to_str().unwrap()),
@@ -581,7 +583,7 @@ mod tests {
 
     #[test]
     fn rejects_single_training_source() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("rejects_single_training_source");
         let err = run(&Flags::from_pairs(&[
             ("dataset", ds.to_str().unwrap()),
             ("embeddings", emb.to_str().unwrap()),

@@ -137,10 +137,12 @@ mod tests {
         dir.join(name)
     }
 
-    fn fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let ds_path = tmp("train_ds.json");
+    /// One test's dataset and embedding files, named after `test` so
+    /// that tests running in parallel never share a fixture file.
+    fn fixture(test: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let ds_path = tmp(&format!("train_ds_{test}.json"));
         std::fs::write(&ds_path, generate(Domain::Tvs, 2).to_json()).unwrap();
-        let emb_path = tmp("train_emb.txt");
+        let emb_path = tmp(&format!("train_emb_{test}.txt"));
         crate::commands::embed::run(&Flags::from_pairs(&[
             ("domains", "tvs"),
             ("dim", "8"),
@@ -153,7 +155,7 @@ mod tests {
 
     #[test]
     fn trains_and_saves_loadable_model() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("trains_and_saves_loadable_model");
         let model_path = tmp("trained.lmp");
         let msg = run(&Flags::from_pairs(&[
             ("dataset", ds.to_str().unwrap()),
@@ -181,7 +183,7 @@ mod tests {
 
     #[test]
     fn timeout_zero_cancels_immediately() {
-        let (ds, emb) = fixture();
+        let (ds, emb) = fixture("timeout_zero_cancels_immediately");
         let err = run(&Flags::from_pairs(&[
             ("dataset", ds.to_str().unwrap()),
             ("embeddings", emb.to_str().unwrap()),

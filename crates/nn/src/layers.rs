@@ -78,6 +78,15 @@ impl DenseGrads {
     }
 }
 
+/// Reusable transpose buffers for one layer's [`Dense::backward_into`]:
+/// the layer input and the weights, transposed so the backward products
+/// run through the forward product kernel. Sized lazily on first use.
+#[derive(Debug, Default)]
+pub struct Transposed {
+    input: Matrix,
+    weights: Matrix,
+}
+
 impl Dense {
     /// A new dense layer with the given initialization (bias starts at 0).
     pub fn new(
@@ -163,9 +172,9 @@ impl Dense {
         let mut g = grad_out.clone();
         self.activation.backward_inplace(&mut g, &cache.output);
         // dW = xᵀ · g ; db = column sums of g ; dx = g · Wᵀ
-        let d_weights = cache.input.t_matmul(&g);
+        let d_weights = cache.input.transpose().matmul(&g);
         let d_bias = g.column_sums();
-        let d_input = g.matmul_t(&self.weights);
+        let d_input = g.matmul(&self.weights.transpose());
         (
             DenseGrads {
                 weights: d_weights,
@@ -184,7 +193,10 @@ impl Dense {
     /// cloned (`output` is the *pre-dropout* post-activation output).
     /// Parameter gradients land in `grads`; ∂L/∂input is written into
     /// `d_input` when provided (the first layer of a network can skip
-    /// it). None of the buffers may alias each other.
+    /// it). Both products run through the forward kernel on transposed
+    /// operands, `dW = (xᵀ) × g` and `dx = g × (Wᵀ)`, with the
+    /// transposes written into `transposed`. None of the buffers may
+    /// alias each other.
     pub fn backward_into(
         &self,
         grad: &mut Matrix,
@@ -192,12 +204,15 @@ impl Dense {
         output: &Matrix,
         grads: &mut DenseGrads,
         d_input: Option<&mut Matrix>,
+        transposed: &mut Transposed,
     ) {
         self.activation.backward_inplace(grad, output);
-        input.t_matmul_into(grad, &mut grads.weights);
+        input.transpose_into(&mut transposed.input);
+        transposed.input.matmul_into(grad, &mut grads.weights);
         grad.column_sums_into(&mut grads.bias);
         if let Some(d) = d_input {
-            grad.matmul_t_into(&self.weights, d);
+            self.weights.transpose_into(&mut transposed.weights);
+            grad.matmul_into(&transposed.weights, d);
         }
     }
 }

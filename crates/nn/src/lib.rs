@@ -6,8 +6,8 @@
 //! 5 at 1e-4, 5 at 1e-5). No mature pure-Rust ML stack is available
 //! offline, so this crate implements the whole stack from scratch:
 //!
-//! * [`matrix::Matrix`] — row-major `f32` matrices with cache-friendly
-//!   matmul,
+//! * [`matrix::Matrix`] — row-major `f32` matrices with one
+//!   register-tiled product kernel (forward and backward),
 //! * [`layers`] — dense layers with ReLU / identity activations,
 //! * [`loss`] — softmax cross-entropy (+ numerically stable log-sum-exp),
 //! * [`optim`] — SGD (with momentum), Adam, and AdaGrad,
@@ -42,12 +42,18 @@
 //! ```
 
 #![deny(missing_docs)]
-// `deny` rather than `forbid`: exactly two scoped `allow(unsafe_code)`
-// overrides exist — the debug-only `alloc-count` counting
-// `#[global_allocator]` (whose `GlobalAlloc` impl is necessarily
-// unsafe) and the `container2::buffer` module (mmap FFI + aligned
-// `&[u8]`→`&[f32]` reinterpretation behind the zero-copy v2
-// container), each justified inline per unsafe block.
+// `deny` rather than `forbid`: exactly three scoped `allow(unsafe_code)`
+// overrides exist, each justified inline per unsafe block:
+// - the debug-only `alloc-count` counting `#[global_allocator]` (whose
+//   `GlobalAlloc` impl is necessarily unsafe);
+// - the `container2::buffer` module (mmap FFI + aligned
+//   `&[u8]`→`&[f32]` reinterpretation behind the zero-copy v2
+//   container);
+// - the call into the AVX2 copy of the product kernel in
+//   `matrix::avx2`, reachable only after `is_x86_feature_detected!`
+//   found AVX2. It enables `avx2` and never `fma`: a fused
+//   multiply-add rounds once where the portable kernel rounds twice,
+//   and the two copies must agree bit for bit.
 #![deny(unsafe_code)]
 
 #[cfg(feature = "alloc-count")]

@@ -320,123 +320,38 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.resize_zeroed(self.rows, rhs.cols);
-        run_row_partitioned(self.rows, rhs.cols, out.data.make_mut(), threads, |start, chunk| {
-            matmul_rows(self, rhs, start, chunk)
-        });
-    }
-
-    /// `selfᵀ × rhs` without materializing the transpose.
-    ///
-    /// Threaded and deterministic under the same policy as
-    /// [`Self::matmul`]: output rows are partitioned, and each element is
-    /// reduced over the shared dimension in ascending order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != rhs.rows`.
-    pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        self.t_matmul_with_threads(rhs, gated_threads(self.rows * self.cols * rhs.cols))
-    }
-
-    /// [`Self::t_matmul`] forced onto the calling thread.
-    pub fn t_matmul_serial(&self, rhs: &Matrix) -> Matrix {
-        self.t_matmul_with_threads(rhs, 1)
-    }
-
-    /// [`Self::t_matmul`] with an explicit worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != rhs.rows`.
-    pub fn t_matmul_with_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.t_matmul_into_with_threads(rhs, &mut out, threads);
-        out
-    }
-
-    /// [`Self::t_matmul`] writing into a reusable output matrix; bitwise
-    /// identical values. `out` must not alias an operand.
-    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.t_matmul_into_with_threads(rhs, out, gated_threads(self.rows * self.cols * rhs.cols));
-    }
-
-    /// [`Self::t_matmul_into`] with an explicit worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != rhs.rows`.
-    pub fn t_matmul_into_with_threads(&self, rhs: &Matrix, out: &mut Matrix, threads: usize) {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "t_matmul shape mismatch: {}x{} vs {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        out.resize_zeroed(self.cols, rhs.cols);
-        run_row_partitioned(self.cols, rhs.cols, out.data.make_mut(), threads, |start, chunk| {
-            t_matmul_rows(self, rhs, start, chunk)
-        });
-    }
-
-    /// `self × rhsᵀ` without materializing the transpose.
-    ///
-    /// Threaded and deterministic under the same policy as
-    /// [`Self::matmul`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_t_with_threads(rhs, gated_threads(self.rows * self.cols * rhs.rows))
-    }
-
-    /// [`Self::matmul_t`] forced onto the calling thread.
-    pub fn matmul_t_serial(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_t_with_threads(rhs, 1)
-    }
-
-    /// [`Self::matmul_t`] with an explicit worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_t_with_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into_with_threads(rhs, &mut out, threads);
-        out
-    }
-
-    /// [`Self::matmul_t`] writing into a reusable output matrix; bitwise
-    /// identical values. `out` must not alias an operand.
-    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_t_into_with_threads(rhs, out, gated_threads(self.rows * self.cols * rhs.rows));
-    }
-
-    /// [`Self::matmul_t_into`] with an explicit worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_t_into_with_threads(&self, rhs: &Matrix, out: &mut Matrix, threads: usize) {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_t shape mismatch: {}x{} vs {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        out.resize_zeroed(self.rows, rhs.rows);
-        run_row_partitioned(self.rows, rhs.rows, out.data.make_mut(), threads, |start, chunk| {
-            matmul_t_rows(self, rhs, start, chunk)
+        let (a, b) = (self.data.as_slice(), rhs.data.as_slice());
+        let (inner, out_cols) = (self.cols, rhs.cols);
+        let kernel = row_kernel();
+        run_row_partitioned(self.rows, out_cols, out.data.make_mut(), threads, |start, chunk| {
+            let rows = chunk.len() / out_cols;
+            kernel(&a[start * inner..(start + rows) * inner], b, inner, out_cols, chunk)
         });
     }
 
     /// The transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.set(j, i, self.get(i, j));
+        let mut out = Matrix::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Self::transpose`] writing into a reusable matrix: `out` is
+    /// reshaped to `self.cols × self.rows` (reusing its allocation when
+    /// capacity permits) and filled with the transpose. This is how the
+    /// backward pass feeds its products to the one forward kernel.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize_zeroed(self.cols, self.rows);
+        if self.cols == 0 {
+            return;
+        }
+        let rows = self.rows;
+        let dst = out.data.make_mut();
+        for (i, row) in self.data.as_slice().chunks_exact(self.cols).enumerate() {
+            for (d, &v) in dst[i..].iter_mut().step_by(rows).zip(row) {
+                *d = v;
             }
         }
-        out
     }
 
     /// Add `bias` (length = cols) to every row in place.
@@ -517,9 +432,12 @@ impl Matrix {
 }
 
 /// Minimum multiply–add count before a product is worth fanning out to
-/// worker threads; below this, spawn overhead dominates. 2²⁰ ≈ a
-/// 32×637 × 637×128 training batch, the smallest shape where threading
-/// pays off on the LEAPME workload.
+/// worker threads; below this, spawn overhead dominates. At the bench
+/// configuration (137 → 128 → 64 → 2, batch 32) every training product
+/// stays serial: the largest, the 137-wide first layer at batch 32
+/// (32×137 × 137×128 and its weight gradient), is 0.56 M multiply–adds
+/// against the gate's 2²⁰ ≈ 1.05 M. Scoring blocks of 64 rows or more
+/// through that layer cross it.
 pub const PAR_MIN_FLOPS: usize = 1 << 20;
 
 fn gated_threads(flops: usize) -> usize {
@@ -533,8 +451,8 @@ fn gated_threads(flops: usize) -> usize {
 /// Split `out` (a `rows × out_cols` row-major buffer) into contiguous
 /// row chunks and run `kernel(first_row, chunk)` on each, in parallel
 /// when `threads > 1`. Chunks never share output rows, so the kernels
-/// write disjoint memory; determinism is up to each kernel's reduction
-/// order, which all three kernels keep ascending.
+/// write disjoint memory, and each output element's reduction order
+/// (ascending `k`) does not depend on which chunk computes it.
 fn run_row_partitioned<K>(rows: usize, out_cols: usize, out: &mut [f32], threads: usize, kernel: K)
 where
     K: Fn(usize, &mut [f32]) + Sync,
@@ -565,78 +483,106 @@ where
 }
 
 /// Register-block width (in `f32` elements) of the product kernel's
-/// accumulator tile: 64 floats fit the SIMD register file, so a full
-/// tile is summed entirely in registers and written back once instead
-/// of being re-loaded and re-stored from L1 on every `k` step.
+/// accumulator tile: 64 floats fit the SIMD register file (eight AVX2
+/// registers), so a full tile is summed entirely in registers and
+/// written back once instead of being re-loaded and re-stored from L1
+/// on every `k` step.
 const REG_TILE: usize = 64;
 
-/// ikj product kernel for output rows `[row_start, row_start + n)`,
-/// where `n = out.len() / rhs.cols`. `k` ascends for every element, and
-/// multiply and add stay separate IEEE operations, so the register
-/// blocking leaves every output bitwise identical to the naive loop.
-fn matmul_rows(a: &Matrix, rhs: &Matrix, row_start: usize, out: &mut [f32]) {
-    let out_cols = rhs.cols;
-    for (local, out_row) in out.chunks_mut(out_cols).enumerate() {
-        let a_row = a.row(row_start + local);
-        for jb in (0..out_cols).step_by(REG_TILE) {
-            let je = (jb + REG_TILE).min(out_cols);
-            let w = je - jb;
+/// Signature of the product kernel: `(a, b, inner, out_cols, out)`,
+/// where `a` holds the `n` left-operand rows one chunk owns
+/// (`n × inner`), `b` the whole right operand (`inner × out_cols`) and
+/// `out` their `n × out_cols` product, zeroed by the caller.
+type RowKernel = fn(&[f32], &[f32], usize, usize, &mut [f32]);
+
+/// The product kernel this CPU runs: the AVX2 copy when the CPU has
+/// AVX2, the portable copy otherwise. std caches the CPUID probe, so
+/// picking costs one load per product.
+fn row_kernel() -> RowKernel {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(kernel) = avx2::kernel() {
+        return kernel;
+    }
+    matmul_rows_portable
+}
+
+/// The product kernel compiled for the crate's baseline target.
+fn matmul_rows_portable(a: &[f32], b: &[f32], inner: usize, out_cols: usize, out: &mut [f32]) {
+    matmul_rows(a, b, inner, out_cols, out)
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::RowKernel;
+
+    /// [`super::matmul_rows`] compiled with AVX2 enabled, so each
+    /// 64-float tile lives in eight 256-bit registers. Only `avx2`,
+    /// never `fma`: a fused multiply-add rounds once where the portable
+    /// copy rounds twice. Rust never contracts `acc + a * b` on its
+    /// own, so with `avx2` alone this copy runs the same separately
+    /// rounded multiplies and adds, in the same order, as the portable
+    /// one.
+    #[target_feature(enable = "avx2")]
+    fn matmul_rows(a: &[f32], b: &[f32], inner: usize, out_cols: usize, out: &mut [f32]) {
+        super::matmul_rows(a, b, inner, out_cols, out)
+    }
+
+    /// The AVX2 copy of the kernel, or `None` when this CPU lacks AVX2.
+    pub(super) fn kernel() -> Option<RowKernel> {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return None;
+        }
+        Some(|a, b, inner, out_cols, out| {
+            // SAFETY: this function pointer is only handed out after
+            // the check above found AVX2 on this CPU.
+            #[allow(unsafe_code)]
+            unsafe {
+                matmul_rows(a, b, inner, out_cols, out)
+            }
+        })
+    }
+}
+
+/// ikj product kernel body, inlined into both kernel copies. Output
+/// elements are summed over `k` in ascending order from `0.0`, with
+/// multiply and add kept as separate IEEE operations, so the register
+/// blocking (and the AVX2 copy) leave every output bitwise identical to
+/// the naive triple loop. The body indexes raw slices only: an
+/// out-of-line call in the `k` loop would force the accumulator tile
+/// out of registers.
+#[inline(always)]
+fn matmul_rows(a: &[f32], b: &[f32], inner: usize, out_cols: usize, out: &mut [f32]) {
+    if inner == 0 {
+        // An empty sum: the caller's zeroed output is already the product.
+        return;
+    }
+    for (a_row, out_row) in a.chunks_exact(inner).zip(out.chunks_exact_mut(out_cols)) {
+        let mut tiles = out_row.chunks_exact_mut(REG_TILE);
+        let mut jb = 0;
+        for tile in &mut tiles {
+            // Fixed-width path: the compiler keeps `acc` in registers
+            // across the whole `k` loop.
             let mut acc = [0f32; REG_TILE];
-            if w == REG_TILE {
-                // Fixed-width path: the compiler keeps `acc` in
-                // registers across the whole `k` loop.
-                let acc: &mut [f32; REG_TILE] = &mut acc;
-                for (k, &a_ik) in a_row.iter().enumerate() {
-                    let b_seg: &[f32; REG_TILE] =
-                        rhs.row(k)[jb..je].try_into().expect("tile width");
-                    for (o, &b_kj) in acc.iter_mut().zip(b_seg) {
-                        *o += a_ik * b_kj;
-                    }
-                }
-            } else {
-                for (k, &a_ik) in a_row.iter().enumerate() {
-                    let b_seg = &rhs.row(k)[jb..je];
-                    for (o, &b_kj) in acc[..w].iter_mut().zip(b_seg) {
-                        *o += a_ik * b_kj;
-                    }
+            for (&a_ik, b_row) in a_row.iter().zip(b.chunks_exact(out_cols)) {
+                let b_seg: &[f32; REG_TILE] =
+                    b_row[jb..jb + REG_TILE].try_into().expect("tile width");
+                for (o, &b_kj) in acc.iter_mut().zip(b_seg) {
+                    *o += a_ik * b_kj;
                 }
             }
-            out_row[jb..je].copy_from_slice(&acc[..w]);
+            tile.copy_from_slice(&acc);
+            jb += REG_TILE;
         }
-    }
-}
-
-/// `aᵀ × rhs` kernel for output rows `[row_start, row_start + n)`; the
-/// output row index is a column of `a`. The reduction over `a.rows`
-/// ascends for every element, matching the serial order exactly.
-fn t_matmul_rows(a: &Matrix, rhs: &Matrix, row_start: usize, out: &mut [f32]) {
-    let out_cols = rhs.cols;
-    let n = out.len() / out_cols.max(1);
-    for r in 0..a.rows {
-        let a_row = a.row(r);
-        let b_row = rhs.row(r);
-        for local in 0..n {
-            let a_ri = a_row[row_start + local];
-            let out_row = &mut out[local * out_cols..(local + 1) * out_cols];
-            for (o, &b_rj) in out_row.iter_mut().zip(b_row) {
-                *o += a_ri * b_rj;
+        let rest = tiles.into_remainder();
+        if !rest.is_empty() {
+            let mut acc = [0f32; REG_TILE];
+            let acc = &mut acc[..rest.len()];
+            for (&a_ik, b_row) in a_row.iter().zip(b.chunks_exact(out_cols)) {
+                for (o, &b_kj) in acc.iter_mut().zip(&b_row[jb..]) {
+                    *o += a_ik * b_kj;
+                }
             }
-        }
-    }
-}
-
-/// `a × rhsᵀ` kernel: independent dot products per output element.
-fn matmul_t_rows(a: &Matrix, rhs: &Matrix, row_start: usize, out: &mut [f32]) {
-    let out_cols = rhs.rows;
-    for (local, out_row) in out.chunks_mut(out_cols).enumerate() {
-        let a_row = a.row(row_start + local);
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = rhs.row(j);
-            let mut acc = 0.0f32;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            *o = acc;
+            rest.copy_from_slice(acc);
         }
     }
 }
@@ -723,43 +669,114 @@ mod tests {
         assert_eq!(m, back);
     }
 
+    /// Test-only product oracle: each element summed over `k` in
+    /// ascending order from `0.0`, one multiply and one add per step.
+    /// The kernel promises exactly this arithmetic.
+    fn naive_product(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0f32;
+                for k in 0..a.cols() {
+                    acc += a.get(i, k) * b.get(k, j);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// Deterministic pseudo-random matrix with entries in `[-0.5, 0.5]`.
+    fn lcg_matrix(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| {
+                *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((*seed >> 32) as f32 / u32::MAX as f32) - 0.5
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// Bit patterns, so `-0.0` and `0.0` count as different results.
+    fn bits(m: &[f32]) -> Vec<u32> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every product kernel this CPU can run: the portable copy, plus
+    /// the AVX2 copy when the CPU has AVX2.
+    fn kernels() -> Vec<RowKernel> {
+        #[allow(unused_mut)]
+        let mut kernels: Vec<RowKernel> = vec![matmul_rows_portable];
+        #[cfg(target_arch = "x86_64")]
+        kernels.extend(avx2::kernel());
+        kernels
+    }
+
+    /// Output widths around the 64-float register tile.
+    const WIDTHS: [usize; 5] = [1, 63, 64, 65, 130];
+
     proptest! {
         #[test]
-        fn t_matmul_matches_explicit_transpose(
-            a_rows in 1usize..5, a_cols in 1usize..5, b_cols in 1usize..5,
-            seed in 0u64..1000,
+        fn products_are_bitwise_naive(
+            rows in 0usize..4, inner in 0usize..5, width in 0usize..5,
+            threads in 1usize..4, seed in 0u64..1000,
         ) {
-            let mut s = seed;
-            let mut next = || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((s >> 33) as f32 / u32::MAX as f32) - 0.5
-            };
-            let a = Matrix::from_vec(a_rows, a_cols, (0..a_rows * a_cols).map(|_| next()).collect());
-            let b = Matrix::from_vec(a_rows, b_cols, (0..a_rows * b_cols).map(|_| next()).collect());
-            let fast = a.t_matmul(&b);
-            let slow = a.transpose().matmul(&b);
-            for (x, y) in fast.data().iter().zip(slow.data()) {
-                prop_assert!((x - y).abs() < 1e-4);
+            let mut seed = seed;
+            let (rows, inner, cols) = ([1, 2, 7, 33][rows], [0, 1, 3, 32, 70][inner], WIDTHS[width]);
+            let a = lcg_matrix(rows, inner, &mut seed);
+            let b = lcg_matrix(inner, cols, &mut seed);
+            let want = bits(naive_product(&a, &b).data());
+            prop_assert_eq!(bits(a.matmul_with_threads(&b, threads).data()), want.clone());
+            for kernel in kernels() {
+                let mut out = vec![0.0; rows * cols];
+                kernel(a.data(), b.data(), inner, cols, &mut out);
+                prop_assert_eq!(bits(&out), want.clone());
             }
         }
 
         #[test]
-        fn matmul_t_matches_explicit_transpose(
-            a_rows in 1usize..5, shared in 1usize..5, b_rows in 1usize..5,
-            seed in 0u64..1000,
+        fn backward_products_are_bitwise_naive(
+            batch in 0usize..3, in_dim in 0usize..5, out_dim in 0usize..5,
+            threads in 1usize..4, seed in 0u64..1000,
         ) {
-            let mut s = seed.wrapping_add(7);
-            let mut next = || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((s >> 33) as f32 / u32::MAX as f32) - 0.5
-            };
-            let a = Matrix::from_vec(a_rows, shared, (0..a_rows * shared).map(|_| next()).collect());
-            let b = Matrix::from_vec(b_rows, shared, (0..b_rows * shared).map(|_| next()).collect());
-            let fast = a.matmul_t(&b);
-            let slow = a.matmul(&b.transpose());
-            for (x, y) in fast.data().iter().zip(slow.data()) {
-                prop_assert!((x - y).abs() < 1e-4);
+            // A dense layer's backward products on transposed operands:
+            // dW = (xᵀ) × g must equal Σ_r x[r][i]·g[r][j], and
+            // dX = g × (Wᵀ) must equal Σ_k g[r][k]·W[i][k], each summed
+            // in ascending order.
+            let mut seed = seed;
+            let (batch, in_dim, out_dim) = ([1, 5, 32][batch], WIDTHS[in_dim], WIDTHS[out_dim]);
+            let x = lcg_matrix(batch, in_dim, &mut seed);
+            let g = lcg_matrix(batch, out_dim, &mut seed);
+            let w = lcg_matrix(in_dim, out_dim, &mut seed);
+            let mut t = Matrix::default();
+
+            x.transpose_into(&mut t);
+            let d_weights = t.matmul_with_threads(&g, threads);
+            let mut want = Matrix::zeros(in_dim, out_dim);
+            for i in 0..in_dim {
+                for j in 0..out_dim {
+                    let mut acc = 0.0f32;
+                    for r in 0..batch {
+                        acc += x.get(r, i) * g.get(r, j);
+                    }
+                    want.set(i, j, acc);
+                }
             }
+            prop_assert_eq!(bits(d_weights.data()), bits(want.data()));
+
+            w.transpose_into(&mut t);
+            let d_input = g.matmul_with_threads(&t, threads);
+            let mut want = Matrix::zeros(batch, in_dim);
+            for r in 0..batch {
+                for i in 0..in_dim {
+                    let mut acc = 0.0f32;
+                    for k in 0..out_dim {
+                        acc += g.get(r, k) * w.get(i, k);
+                    }
+                    want.set(r, i, acc);
+                }
+            }
+            prop_assert_eq!(bits(d_input.data()), bits(want.data()));
         }
 
         #[test]
@@ -782,22 +799,10 @@ mod tests {
             let a = Matrix::from_vec(a_rows, shared, (0..a_rows * shared).map(|_| next()).collect());
             let b = Matrix::from_vec(shared, b_cols, (0..shared * b_cols).map(|_| next()).collect());
 
-            // matmul: serial vs explicit thread counts, bit for bit.
+            // Serial vs explicit thread counts, bit for bit.
             let serial = a.matmul_serial(&b);
             let par = a.matmul_with_threads(&b, threads);
-            prop_assert_eq!(serial.data(), par.data());
-
-            // t_matmul: aᵀ shares its row count with b.
-            let at = a.transpose();
-            let serial = at.t_matmul_serial(&b);
-            let par = at.t_matmul_with_threads(&b, threads);
-            prop_assert_eq!(serial.data(), par.data());
-
-            // matmul_t: b fed transposed so the shared dims line up.
-            let bt = b.transpose();
-            let serial = a.matmul_t_serial(&bt);
-            let par = a.matmul_t_with_threads(&bt, threads);
-            prop_assert_eq!(serial.data(), par.data());
+            prop_assert_eq!(bits(serial.data()), bits(par.data()));
         }
 
         #[test]
@@ -819,6 +824,8 @@ mod tests {
         let b = Matrix::zeros(0, 2);
         assert_eq!(a.matmul(&b).shape(), (3, 2));
         assert_eq!(a.matmul_with_threads(&b, 4).shape(), (3, 2));
+        assert_eq!(a.transpose().shape(), (0, 3));
+        assert_eq!(b.transpose().shape(), (2, 0));
     }
 
     #[test]
@@ -830,7 +837,6 @@ mod tests {
         let b = Matrix::from_rows(&[vec![1.0, -1.0], vec![f32::MIN_POSITIVE, 3.0], vec![0.5, 0.25]]);
         let c = a.matmul(&b);
         assert_eq!(c.data(), &[1.0, 0.5, 0.0, 0.0]);
-        let explicit = a.transpose().t_matmul(&b);
-        assert_eq!(explicit.data(), c.data());
+        assert_eq!(bits(c.data()), bits(naive_product(&a, &b).data()));
     }
 }

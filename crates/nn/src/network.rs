@@ -617,6 +617,7 @@ impl Mlp {
             d_act,
             masks,
             grads,
+            transposed,
             ..
         } = &mut *ws;
 
@@ -676,7 +677,7 @@ impl Mlp {
             } else {
                 None
             };
-            layer.backward_into(g, input, &act[idx], gr, d_input);
+            layer.backward_into(g, input, &act[idx], gr, d_input, &mut transposed[idx]);
             if cfg.weight_decay > 0.0 {
                 gr.weights.axpy_inplace(cfg.weight_decay, &layer.weights);
             }

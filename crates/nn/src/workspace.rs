@@ -16,11 +16,11 @@
 //! the output buffer does not alias any input operand. The workspaces
 //! guarantee this structurally: each layer index owns disjoint
 //! activation (`act`), post-dropout (`dropped`), gradient (`d_act`),
-//! mask, and parameter-gradient buffers, and the layer-`idx` step only
-//! ever writes buffer `idx` while reading buffer `idx − 1` (forward) or
-//! `idx − 1`/`idx` (backward).
+//! mask, parameter-gradient, and transpose buffers, and the layer-`idx`
+//! step only ever writes buffer `idx` while reading buffer `idx − 1`
+//! (forward) or `idx − 1`/`idx` (backward).
 
-use crate::layers::{Dense, DenseGrads};
+use crate::layers::{Dense, DenseGrads, Transposed};
 use crate::matrix::Matrix;
 
 /// Preallocated buffers for one training loop (`Mlp::fit_durable`,
@@ -28,7 +28,8 @@ use crate::matrix::Matrix;
 ///
 /// The workspace holds, per layer: the post-activation output, the
 /// post-dropout output, the output gradient, the inverted-dropout mask,
-/// and the parameter gradients; plus the gathered minibatch
+/// the parameter gradients, and the transposed input and weights the
+/// backward products read; plus the gathered minibatch
 /// (`batch_x`/`batch_y`), the validation split, the fused-loss gradient
 /// buffer, and the persistent early-stopping checkpoint.
 #[derive(Debug, Default)]
@@ -47,6 +48,8 @@ pub(crate) struct TrainWorkspace {
     pub(crate) masks: Vec<Matrix>,
     /// Per-layer parameter gradients.
     pub(crate) grads: Vec<DenseGrads>,
+    /// Per-layer transposed input and weights for the backward products.
+    pub(crate) transposed: Vec<Transposed>,
     /// Persistent early-stopping checkpoint of the best layers.
     pub(crate) checkpoint: Vec<Dense>,
     /// Whether `checkpoint` holds a valid snapshot for the current fit.
@@ -73,6 +76,7 @@ impl TrainWorkspace {
         self.d_act.resize_with(n, || Matrix::zeros(0, 0));
         self.masks.resize_with(n, || Matrix::zeros(0, 0));
         self.grads.resize_with(n, DenseGrads::empty);
+        self.transposed.resize_with(n, Transposed::default);
         self.score.ensure_layers(n);
     }
 }
@@ -165,6 +169,7 @@ mod tests {
         ws.ensure_layers(3);
         assert_eq!(ws.act.len(), 3);
         assert_eq!(ws.grads.len(), 3);
+        assert_eq!(ws.transposed.len(), 3);
         ws.ensure_layers(2);
         assert_eq!(ws.act.len(), 2);
         ws.ensure_layers(2);

@@ -36,12 +36,18 @@ echo "==> kernel-equivalence suites: bit-parallel/banded/SIMD vs reference"
 # SSE2 embedding lanes) each keep their reference implementation
 # in-tree with equivalence tests; run them at both the serial and a
 # multi-worker thread count so the dispatch seams are covered either
-# way.
+# way. The nn `matrix` and `network` suites check the one product
+# kernel (portable and AVX2 copies, forward and backward operands)
+# against a naive oracle, and the workspace trainer against the
+# allocating one; products above the size gate split their rows over
+# LEAPME_THREADS workers.
 for t in 1 4; do
     echo "    LEAPME_THREADS=$t"
     LEAPME_THREADS=$t cargo test -q -p leapme-textsim
     LEAPME_THREADS=$t cargo test -q -p leapme-embedding kernels
     LEAPME_THREADS=$t cargo test -q -p leapme-features pair_table
+    LEAPME_THREADS=$t cargo test -q -p leapme-nn matrix
+    LEAPME_THREADS=$t cargo test -q -p leapme-nn network
 done
 
 echo "==> index suites: HNSW/LSH determinism, recall vs oracle, cancellation"
